@@ -1,8 +1,10 @@
 #include "index/index_group.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -238,6 +240,27 @@ sim::Cost IndexGroup::CommitLocked() {
   return cost;
 }
 
+namespace {
+
+// The point a K-D index over `spec` holds for `attrs`, or nullopt when a
+// dimension is missing or not numeric (such files are not indexed).
+// `*exact` turns false if a double cannot hold some coordinate exactly.
+std::optional<std::vector<double>> KdPointOf(const IndexSpec& spec,
+                                             const AttrSet& attrs,
+                                             bool* exact) {
+  std::vector<double> point;
+  point.reserve(spec.attrs.size());
+  for (const std::string& a : spec.attrs) {
+    const AttrValue* v = attrs.Find(a);
+    if (v == nullptr || !v->is_numeric()) return std::nullopt;
+    *exact = *exact && HeldExactlyAsDouble(*v);
+    point.push_back(v->numeric());
+  }
+  return point;
+}
+
+}  // namespace
+
 sim::Cost IndexGroup::Apply(const FileUpdate& update) {
   sim::Cost cost;
   if (update.is_delete) {
@@ -284,14 +307,9 @@ sim::Cost IndexGroup::RemovePostings(const NamedIndex& idx, FileId file,
     }
     case IndexType::kKdTree:
     case IndexType::kKdTreePaged: {
-      std::vector<double> point;
-      point.reserve(idx.spec.attrs.size());
-      for (const std::string& a : idx.spec.attrs) {
-        const AttrValue* v = attrs.Find(a);
-        if (v == nullptr || !v->is_numeric()) return cost;  // never indexed
-        point.push_back(v->numeric());
-      }
-      cost += idx.kd->Remove(point, file);
+      bool exact = true;
+      auto point = KdPointOf(idx.spec, attrs, &exact);
+      if (point) cost += idx.kd->Remove(*point, file);
       break;
     }
   }
@@ -323,14 +341,9 @@ sim::Cost IndexGroup::InsertPostings(const NamedIndex& idx, FileId file,
     }
     case IndexType::kKdTree:
     case IndexType::kKdTreePaged: {
-      std::vector<double> point;
-      point.reserve(idx.spec.attrs.size());
-      for (const std::string& a : idx.spec.attrs) {
-        const AttrValue* v = attrs.Find(a);
-        if (v == nullptr || !v->is_numeric()) return cost;  // unindexable
-        point.push_back(v->numeric());
-      }
-      cost += idx.kd->Insert(point, file);
+      bool exact = true;
+      auto point = KdPointOf(idx.spec, attrs, &exact);
+      if (point) cost += idx.kd->Insert(*point, file, exact);
       break;
     }
   }
@@ -399,6 +412,8 @@ void FinishSearchSpan(obs::SpanGuard& span,
   if (topup > 0) span.Advance(sim::Cost(topup));
   span.Tag("access_path", out.access_path);
   span.Tag("hits", static_cast<uint64_t>(out.files.size()));
+  span.Tag("record_pages", out.record_pages);
+  span.Tag("index_only", static_cast<uint64_t>(out.index_only));
 }
 
 // Simulated price of one result-cache probe (hash + compare of the
@@ -497,19 +512,25 @@ std::vector<FileId> IndexGroup::IndexCandidates(const NamedIndex& idx,
     case IndexType::kKdTreePaged: {
       out.access_path = std::string(IndexTypeName(idx.spec.type)) + ":" +
                         idx.spec.name;
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      // An exclusive bound steps to the adjacent double toward the box's
+      // interior, so the box is exactly the predicate's region.  Where a
+      // double cannot hold the bound or a stored coordinate exactly, the
+      // rounded bound stays inclusive instead: rounding is monotonic, so
+      // the box still covers every match and verification trims it.
+      auto bound = [&](const AttrValue& v, bool inclusive, double toward) {
+        bool step = !inclusive && idx.kd->exact() && HeldExactlyAsDouble(v);
+        return step ? std::nextafter(v.numeric(), toward) : v.numeric();
+      };
       KdBox box = KdBox::Unbounded(idx.spec.attrs.size());
       for (size_t d = 0; d < idx.spec.attrs.size(); ++d) {
         auto range = RangeForAttr(pred, idx.spec.attrs[d]);
         if (!range) continue;
         if (range->lo && range->lo->is_numeric()) {
-          box.lo[d] = range->lo->numeric();
-          // Exclusive numeric bounds: nudge by one ULP-ish step.  Integer
-          // attribute domains make the +-1 exact.
-          if (!range->lo_inclusive) box.lo[d] += 1.0;
+          box.lo[d] = bound(*range->lo, range->lo_inclusive, kInf);
         }
         if (range->hi && range->hi->is_numeric()) {
-          box.hi[d] = range->hi->numeric();
-          if (!range->hi_inclusive) box.hi[d] -= 1.0;
+          box.hi[d] = bound(*range->hi, range->hi_inclusive, -kInf);
         }
       }
       auto r = idx.kd->RangeQuery(box);
@@ -519,6 +540,32 @@ std::vector<FileId> IndexGroup::IndexCandidates(const NamedIndex& idx,
     }
   }
   return candidates;
+}
+
+bool IndexGroup::AnswersExactly(const NamedIndex& idx,
+                                const Predicate& pred) {
+  switch (idx.spec.type) {
+    case IndexType::kBTree:
+    case IndexType::kHash:
+      // The index was chosen for this predicate, so a lone term is the
+      // one it looked up.
+      return pred.terms.size() <= 1;
+    case IndexType::kKeyword:
+      return false;
+    case IndexType::kKdTree:
+    case IndexType::kKdTreePaged:
+      // The box covers every term: a numeric comparison, on one of the
+      // tree's dimensions, that a double orders exactly.
+      if (!idx.kd->exact()) return false;
+      return std::all_of(
+          pred.terms.begin(), pred.terms.end(), [&](const Term& t) {
+            const auto& dims = idx.spec.attrs;
+            return t.op != CmpOp::kContainsWord &&
+                   HeldExactlyAsDouble(t.value) &&
+                   std::find(dims.begin(), dims.end(), t.attr) != dims.end();
+          });
+  }
+  return false;
 }
 
 void IndexGroup::SearchBodyLocked(const Predicate& pred,
@@ -560,29 +607,28 @@ void IndexGroup::SearchBodyLocked(const Predicate& pred,
     out.cost += records_.ForEach([&](FileId file, const AttrSet& attrs) {
       if (pred.Matches(attrs)) out.files.push_back(file);
     });
+    out.record_pages = records_.NumPages();
     fill_cache();
     return;
   }
 
   std::vector<FileId> candidates = IndexCandidates(*idx, pred, out);
-
-  // Verify residual terms against the record store.
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  if (pred.terms.size() <= 1 && !IsKdType(idx->spec.type) &&
-      idx->spec.type != IndexType::kKeyword) {
-    // Single-term queries served exactly by a btree/hash index need no
-    // verification pass.
+  if (AnswersExactly(*idx, pred)) {
+    out.index_only = true;
     out.files = std::move(candidates);
     fill_cache();
     return;
   }
-  for (FileId f : candidates) {
-    auto got = records_.Get(f);
-    out.cost += got.cost;
-    if (got.attrs && pred.Matches(*got.attrs)) out.files.push_back(f);
-  }
+  // Verify the residual terms in one page-sorted record-store batch.
+  auto fetched =
+      records_.GetMany(candidates, [&](FileId f, const AttrSet* attrs) {
+        if (attrs != nullptr && pred.Matches(*attrs)) out.files.push_back(f);
+      });
+  out.cost += fetched.cost;
+  out.record_pages = fetched.pages;
   fill_cache();
 }
 
@@ -644,19 +690,12 @@ std::shared_ptr<IndexGroup::Segment> IndexGroup::BuildSegment(
                                               : KdLayout::kSerialized);
         std::vector<std::pair<std::vector<double>, FileId>> points;
         points.reserve(rows.size());
+        bool exact = true;
         for (const auto& [file, attrs] : rows) {
-          std::vector<double> point;
-          point.reserve(spec.attrs.size());
-          for (const std::string& a : spec.attrs) {
-            const AttrValue* v = attrs.Find(a);
-            if (v == nullptr || !v->is_numeric()) break;  // unindexable
-            point.push_back(v->numeric());
-          }
-          if (point.size() == spec.attrs.size()) {
-            points.emplace_back(std::move(point), file);
-          }
+          auto point = KdPointOf(spec, attrs, &exact);
+          if (point) points.emplace_back(std::move(*point), file);
         }
-        *cost += idx.kd->BulkLoad(std::move(points));
+        *cost += idx.kd->BulkLoad(std::move(points), exact);
         break;
       }
     }
@@ -914,6 +953,7 @@ IndexGroup::SearchResult IndexGroup::SearchSegmented(
     segments_read_->Add(static_cast<uint64_t>(segs.size()));
   }
   std::string seg_path;
+  out.index_only = !segs.empty();
   for (size_t si = segs.size(); si-- > 0;) {
     const Segment& seg = *segs[si];
     const NamedIndex* idx = ChooseAccessPathFor(pred, seg.indexes);
@@ -922,10 +962,12 @@ IndexGroup::SearchResult IndexGroup::SearchSegmented(
     if (idx == nullptr) {
       // Full scan of this segment's records: matches are already exact.
       exact = true;
+      out.index_only = false;
       if (seg_path.empty()) seg_path = "scan";
       out.cost += seg.records.ForEach([&](FileId file, const AttrSet& attrs) {
         if (pred.Matches(attrs)) candidates.push_back(file);
       });
+      out.record_pages += seg.records.NumPages();
       std::sort(candidates.begin(), candidates.end());
     } else {
       SearchResult sub;
@@ -935,9 +977,10 @@ IndexGroup::SearchResult IndexGroup::SearchSegmented(
       std::sort(candidates.begin(), candidates.end());
       candidates.erase(std::unique(candidates.begin(), candidates.end()),
                        candidates.end());
-      exact = pred.terms.size() <= 1 && !IsKdType(idx->spec.type) &&
-              idx->spec.type != IndexType::kKeyword;
+      exact = AnswersExactly(*idx, pred);
+      out.index_only = out.index_only && exact;
     }
+    std::vector<FileId> unverified;
     for (FileId f : candidates) {
       if (overlay.count(f) != 0u) continue;  // memtable shadows everything
       bool shadowed = false;
@@ -948,12 +991,20 @@ IndexGroup::SearchResult IndexGroup::SearchSegmented(
       if (shadowed) continue;
       if (exact) {
         out.files.push_back(f);
-        continue;
+      } else {
+        unverified.push_back(f);
       }
-      auto got = seg.records.Get(f);
-      out.cost += got.cost;
-      if (got.attrs && pred.Matches(*got.attrs)) out.files.push_back(f);
     }
+    if (unverified.empty()) continue;
+    // Verify this segment's survivors in one page-sorted batch.
+    auto fetched =
+        seg.records.GetMany(unverified, [&](FileId f, const AttrSet* attrs) {
+          if (attrs != nullptr && pred.Matches(*attrs)) {
+            out.files.push_back(f);
+          }
+        });
+    out.cost += fetched.cost;
+    out.record_pages += fetched.pages;
   }
   out.access_path = "segments[" + std::to_string(segs.size()) +
                     "]:" + (seg_path.empty() ? "none" : seg_path);

@@ -193,6 +193,12 @@ class IndexGroup {
     std::vector<FileId> files;
     sim::Cost cost;
     std::string access_path;  // which index served the query (diagnostics)
+    // Distinct record-store pages the search read (verification batches
+    // and full scans); 0 when the index alone answered.
+    uint64_t record_pages = 0;
+    // True when every index lookup answered the predicate exactly, so no
+    // record was fetched to verify it.
+    bool index_only = false;
   };
   // Commits pending updates first (strong consistency), then answers.
   // With nothing staged the search runs under a *shared* lock, so any
@@ -325,6 +331,9 @@ class IndexGroup {
   static std::vector<FileId> IndexCandidates(const NamedIndex& idx,
                                              const Predicate& pred,
                                              SearchResult& out);
+  // True when the candidates `idx` returns for `pred` are exactly its
+  // matches, so the verification pass can be skipped (both engines).
+  static bool AnswersExactly(const NamedIndex& idx, const Predicate& pred);
   // The post-commit search body (access-path choice, lookups, residual
   // verification, result-cache probe/fill); accumulates into `out`.
   void SearchBodyLocked(const Predicate& pred, SearchResult& out) const

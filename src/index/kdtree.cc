@@ -14,6 +14,14 @@ constexpr double kCpuPerNodeUs = 0.05;
 
 }  // namespace
 
+bool HeldExactlyAsDouble(const AttrValue& v) {
+  constexpr int64_t kMaxExactInt = int64_t{1} << 53;
+  if (v.is_int()) {
+    return v.as_int() >= -kMaxExactInt && v.as_int() <= kMaxExactInt;
+  }
+  return v.is_double() && std::isfinite(v.as_double());
+}
+
 KdTree::KdTree(sim::PageStore store, size_t dims, KdLayout layout)
     : store_(store), dims_(dims), layout_(layout) {
   assert(dims_ > 0);
@@ -29,8 +37,10 @@ uint64_t KdTree::NodesPerPage() const {
 
 sim::Cost KdTree::ChargeFullLoad() const { return store_.SequentialLoad(NumPages()); }
 
-sim::Cost KdTree::Insert(const std::vector<double>& point, FileId file) {
+sim::Cost KdTree::Insert(const std::vector<double>& point, FileId file,
+                         bool exact) {
   assert(point.size() == dims_);
+  exact_ = exact_ && exact;
   sim::Cost cost;
   PageCharger charger(store_);
   // Serialized layout: the blob must be resident to modify it.
@@ -63,8 +73,9 @@ sim::Cost KdTree::Insert(const std::vector<double>& point, FileId file) {
 }
 
 sim::Cost KdTree::BulkLoad(
-    std::vector<std::pair<std::vector<double>, FileId>> points) {
+    std::vector<std::pair<std::vector<double>, FileId>> points, bool exact) {
   assert(num_nodes_ == 0);
+  exact_ = exact_ && exact;
   if (points.empty()) return sim::Cost::Zero();
   // Deterministic build regardless of input order: nth_element ties are
   // broken by the pre-sort below.

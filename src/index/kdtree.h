@@ -49,6 +49,11 @@ struct KdBox {
 
 enum class KdLayout : uint8_t { kSerialized = 0, kPaged = 1 };
 
+// True when a double holds `v` exactly, so comparing coordinates in double
+// space orders `v` as AttrValue::Compare does: ints with |v| <= 2^53 and
+// finite doubles.
+bool HeldExactlyAsDouble(const AttrValue& v);
+
 class KdTree {
  public:
   KdTree(sim::PageStore store, size_t dims,
@@ -62,11 +67,22 @@ class KdTree {
   uint32_t Depth() const;
 
   // Appends a point (classic kd insertion).  point.size() must equal dims.
-  sim::Cost Insert(const std::vector<double>& point, FileId file);
+  // `exact` is false when some coordinate came from a value a double
+  // cannot hold exactly (see exact()).
+  sim::Cost Insert(const std::vector<double>& point, FileId file,
+                   bool exact = true);
 
   // Builds a balanced tree from a batch in one sequential write.  Only
-  // valid on an empty tree (segment builds).
-  sim::Cost BulkLoad(std::vector<std::pair<std::vector<double>, FileId>> points);
+  // valid on an empty tree (segment builds).  `exact` as for Insert, for
+  // the whole batch.
+  sim::Cost BulkLoad(std::vector<std::pair<std::vector<double>, FileId>> points,
+                     bool exact = true);
+
+  // False once any point given to Insert or BulkLoad had an inexact
+  // coordinate.  Sticky: removing that point does not clear it.  A box
+  // query on an inexact tree may return files whose true values lie
+  // outside the box, so its answers always need verification.
+  bool exact() const { return exact_; }
 
   // Marks a point deleted (tombstone); compaction happens on Rebuild.
   sim::Cost Remove(const std::vector<double>& point, FileId file);
@@ -122,6 +138,7 @@ class KdTree {
   std::unique_ptr<Node> root_;
   uint64_t num_points_ = 0;   // live (non-tombstoned) points
   uint64_t num_nodes_ = 0;    // including tombstones
+  bool exact_ = true;
 };
 
 }  // namespace propeller::index

@@ -26,7 +26,31 @@ class RecordStore {
     std::optional<AttrSet> attrs;
     sim::Cost cost;
   };
+  // One record, one random page touch.  Searches verify through GetMany.
   GetResult Get(FileId file) const;
+
+  // Batched verification read: maps `files` to their distinct heap pages,
+  // reads those in one page-sorted ReadPages batch, then calls
+  // `fn(FileId, const AttrSet*)` for each file in the given order (nullptr
+  // when the file has no record).  No AttrSet is copied.
+  struct GetManyResult {
+    sim::Cost cost;
+    uint64_t pages = 0;  // distinct pages read
+  };
+  template <typename Fn>
+  GetManyResult GetMany(const std::vector<FileId>& files, Fn&& fn) const {
+    std::vector<uint64_t> pages;
+    pages.reserve(files.size());
+    for (FileId f : files) pages.push_back(PageOf(f));
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+    GetManyResult out{store_.ReadPages(pages), pages.size()};
+    for (FileId f : files) {
+      auto it = records_.find(f);
+      fn(f, it == records_.end() ? nullptr : &it->second);
+    }
+    return out;
+  }
 
   // Inserts or replaces; returns the previous attrs (if any) so the caller
   // can retire stale index postings, plus the cost.

@@ -48,6 +48,15 @@ class DiskModel {
   // Appending to an already-open log: no seek, pure transfer.
   Cost AppendBytes(uint64_t bytes) const { return Cost(TransferSeconds(bytes)); }
 
+  // True when reading through `gap_pages` unwanted pages costs less than
+  // the seek plus rotation a fresh access would pay instead (at the
+  // defaults: gaps of up to ~309 pages).
+  bool SweepAbsorbsGap(uint64_t gap_pages) const {
+    uint64_t bytes = gap_pages * static_cast<uint64_t>(params_.page_size_bytes);
+    return TransferSeconds(bytes) <
+           (params_.seek_ms + params_.rotational_ms) / 1e3;
+  }
+
  private:
   double TransferSeconds(uint64_t bytes) const {
     return static_cast<double>(bytes) / (params_.transfer_mb_per_s * 1e6);

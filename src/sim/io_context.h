@@ -7,8 +7,10 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/mutex.h"
 #include "sim/cost.h"
@@ -42,6 +44,9 @@ class PageStore {
   // Random page read/write through the cache.
   Cost Read(uint64_t page) const;
   Cost Write(uint64_t page) const;
+  // Batched read of `pages` (ascending, no duplicates); see
+  // IoContext::ReadPages.
+  Cost ReadPages(const std::vector<uint64_t>& pages) const;
   // Sequential scan of pages [0, pages); admits them all into the cache.
   Cost SequentialLoad(uint64_t pages) const;
   // Log append (no seek), not cached.
@@ -68,6 +73,41 @@ class IoContext {
     MutexLock lock(mu_);
     if (cache_.Touch(id)) return Cost(params_.cache_hit_us / 1e6);
     return disk_.RandomPageAccess();
+  }
+
+  // Batched read of `pages` of one store (ascending, no duplicates).  Each
+  // page goes through the LRU exactly as TouchPage would, in the given
+  // order; a cached page costs `cache_hit_us`.  The cold ones are read in
+  // ascending sweeps: the next cold page joins the current sweep while
+  // transferring the gap is cheaper than repositioning the head, and each
+  // sweep costs SequentialPages(last - first + 1).  Gap pages pass under
+  // the head but are not admitted to the cache.  A lone cold page costs
+  // exactly RandomPageAccess(), so the batch never costs more than the
+  // same pages touched one by one.
+  Cost ReadPages(uint64_t store, const std::vector<uint64_t>& pages) {
+    MutexLock lock(mu_);
+    uint64_t hits = 0;
+    Cost sweeps;
+    bool open = false;
+    uint64_t first = 0;
+    uint64_t last = 0;
+    for (uint64_t p : pages) {
+      assert(!open || p > last);
+      if (cache_.Touch(PageId{store, p})) {
+        ++hits;
+        continue;
+      }
+      if (open && disk_.SweepAbsorbsGap(p - last - 1)) {
+        last = p;
+        continue;
+      }
+      if (open) sweeps += disk_.SequentialPages(last - first + 1);
+      open = true;
+      first = last = p;
+    }
+    if (open) sweeps += disk_.SequentialPages(last - first + 1);
+    Cost hit_cost(params_.cache_hit_us / 1e6 * static_cast<double>(hits));
+    return hit_cost + sweeps;
   }
 
   Cost SequentialLoad(uint64_t store, uint64_t pages) {
@@ -103,6 +143,10 @@ class IoContext {
     MutexLock lock(mu_);
     return cache_.size();
   }
+  bool IsCached(PageId id) const {
+    MutexLock lock(mu_);
+    return cache_.Contains(id);
+  }
 
  private:
   IoParams params_;
@@ -117,6 +161,9 @@ inline Cost PageStore::Read(uint64_t page) const {
 }
 inline Cost PageStore::Write(uint64_t page) const {
   return ctx_->TouchPage(PageId{id_, page});
+}
+inline Cost PageStore::ReadPages(const std::vector<uint64_t>& pages) const {
+  return ctx_->ReadPages(id_, pages);
 }
 inline Cost PageStore::SequentialLoad(uint64_t pages) const {
   return ctx_->SequentialLoad(id_, pages);

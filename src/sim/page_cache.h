@@ -90,6 +90,9 @@ class PageCache {
     map_.clear();
   }
 
+  // Residency probe: no LRU movement, no stats.
+  bool Contains(PageId id) const { return map_.count(id) != 0u; }
+
   uint64_t capacity() const { return capacity_; }
   uint64_t size() const { return lru_.size(); }
   const PageCacheStats& stats() const { return stats_; }

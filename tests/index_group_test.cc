@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "kd_differential.h"
 #include "sim/io_context.h"
 
 namespace propeller::index {
@@ -312,6 +313,110 @@ TEST(IndexGroupFuzzTest, SearchAlwaysMatchesModel) {
       std::sort(r.files.begin(), r.files.end());
       ASSERT_EQ(r.files, expect) << "step " << step;
     }
+  }
+}
+
+// --- K-D answers: exclusive bounds, index-only answers, precision ---
+
+// A group with a K-D tree over (size, mtime) and a keyword index on path;
+// Put() commits one file at a time.
+class KdGroupTest : public ::testing::Test {
+ protected:
+  KdGroupTest() : group_(2, &io_) {
+    EXPECT_TRUE(
+        group_.CreateIndex({"kd", IndexType::kKdTree, {"size", "mtime"}}).ok());
+    EXPECT_TRUE(group_.CreateIndex({"kw", IndexType::kKeyword, {"path"}}).ok());
+  }
+  void Put(FileId f, AttrValue size, int64_t mtime = 0) {
+    FileUpdate u;
+    u.file = f;
+    u.attrs.Set("size", std::move(size));
+    u.attrs.Set("mtime", AttrValue(mtime));
+    u.attrs.Set("path", AttrValue("/d/f" + std::to_string(f)));
+    group_.StageUpdate(std::move(u));
+    group_.Commit();
+  }
+  IndexGroup::SearchResult Search(const std::string& attr, CmpOp op,
+                                  AttrValue v) {
+    Predicate p;
+    p.And(attr, op, std::move(v));
+    return group_.Search(p);
+  }
+
+  sim::IoContext io_;
+  IndexGroup group_;
+};
+
+// `>` and `<` keep every row strictly beyond the bound, also when the
+// bound or the stored value is not an integer.
+TEST_F(KdGroupTest, ExclusiveBoundsKeepNonIntegerNeighbours) {
+  Put(1, AttrValue(int64_t{2}));
+  Put(2, AttrValue(2.5));
+  Put(3, AttrValue(int64_t{3}));
+  EXPECT_EQ(Search("size", CmpOp::kGt, AttrValue(1.5)).files,
+            (std::vector<FileId>{1, 2, 3}));
+  EXPECT_EQ(Search("size", CmpOp::kLt, AttrValue(2.5)).files,
+            (std::vector<FileId>{1}));
+  EXPECT_EQ(Search("size", CmpOp::kGt, AttrValue(int64_t{2})).files,
+            (std::vector<FileId>{2, 3}));
+  EXPECT_EQ(Search("size", CmpOp::kLt, AttrValue(int64_t{3})).files,
+            (std::vector<FileId>{1, 2}));
+}
+
+TEST_F(KdGroupTest, CoveredPredicateIsAnsweredFromTheIndexAlone) {
+  for (FileId f = 1; f <= 20; ++f) {
+    Put(f, AttrValue(static_cast<int64_t>(f)), static_cast<int64_t>(f % 4));
+  }
+  Predicate covered;
+  covered.And("size", CmpOp::kGt, AttrValue(int64_t{10}))
+      .And("mtime", CmpOp::kLe, AttrValue(int64_t{1}));
+  auto r = group_.Search(covered);
+  EXPECT_EQ(r.files, (std::vector<FileId>{12, 13, 16, 17, 20}));
+  EXPECT_TRUE(r.index_only);
+  EXPECT_EQ(r.record_pages, 0u);
+
+  // A keyword term is outside the tree: the answer needs verification,
+  // fetched in one batch.
+  Predicate keyword;
+  keyword.And("path", CmpOp::kContainsWord, AttrValue("d"))
+      .And("size", CmpOp::kGt, AttrValue(int64_t{18}));
+  io_.DropCaches();
+  auto v = group_.Search(keyword);
+  EXPECT_EQ(v.files, (std::vector<FileId>{19, 20}));
+  EXPECT_FALSE(v.index_only);
+  EXPECT_EQ(v.record_pages, 1u);
+}
+
+// Precision guard: 2^53 + 1 rounds to 2^53 as a double, so the box alone
+// would wrongly report it as <= 2^53.
+TEST_F(KdGroupTest, InexactCoordinatesForceVerification) {
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  Put(1, AttrValue(k2p53 + 1));
+  auto r = Search("size", CmpOp::kLe, AttrValue(k2p53));
+  EXPECT_TRUE(r.files.empty());
+  EXPECT_FALSE(r.index_only);
+  EXPECT_GT(r.record_pages, 0u);
+  EXPECT_EQ(Search("size", CmpOp::kGt, AttrValue(k2p53)).files,
+            (std::vector<FileId>{1}));
+}
+
+TEST_F(KdGroupTest, InexactTermValueForcesVerification) {
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  Put(1, AttrValue(int64_t{5}));
+  auto r = Search("size", CmpOp::kLt, AttrValue(k2p53 + 1));
+  EXPECT_EQ(r.files, (std::vector<FileId>{1}));
+  EXPECT_FALSE(r.index_only);
+  EXPECT_TRUE(Search("size", CmpOp::kLt, AttrValue(int64_t{5})).index_only);
+}
+
+TEST(IndexGroupDifferentialTest, KdAndKeywordSearchesMatchBruteForce) {
+  for (IndexType type : {IndexType::kKdTree, IndexType::kKdTreePaged}) {
+    SCOPED_TRACE(IndexTypeName(type));
+    KdDifferentialStats stats =
+        RunKdDifferential(IndexGroupOptions{}, type, /*seed=*/2024);
+    EXPECT_EQ(stats.searches, 200);
+    EXPECT_GT(stats.index_only, 20);
+    EXPECT_GT(stats.verified, 20);
   }
 }
 

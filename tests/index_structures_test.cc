@@ -276,6 +276,42 @@ TEST(RecordStoreTest, PutGetEraseAndPrevious) {
   EXPECT_FALSE(rs.Erase(7).previous.has_value());
 }
 
+TEST(RecordStoreTest, GetManyVisitsInOrderAndReadsEachPageOnce) {
+  sim::IoContext io;
+  RecordStore rs(io.CreateStore());
+  for (FileId f = 1; f <= 2000; ++f) {
+    AttrSet a;
+    a.Set("size", AttrValue(static_cast<int64_t>(f)));
+    a.Set("path", AttrValue(std::string(200, 'p')));
+    rs.Put(f, std::move(a));
+  }
+  ASSERT_GT(rs.NumPages(), 50u);
+  std::vector<FileId> files;
+  for (FileId f = 3; f <= 2003; f += 4) files.push_back(f);  // 2003: absent
+
+  io.DropCaches();
+  sim::Cost one_by_one;
+  for (FileId f : files) one_by_one += rs.Get(f).cost;
+
+  io.DropCaches();
+  const uint64_t misses_before = io.CacheStats().misses;
+  std::vector<FileId> visited;
+  auto got = rs.GetMany(files, [&](FileId f, const AttrSet* attrs) {
+    visited.push_back(f);
+    if (f == 2003) {
+      EXPECT_EQ(attrs, nullptr);
+    } else {
+      ASSERT_NE(attrs, nullptr);
+      EXPECT_EQ(attrs->Find("size")->as_int(), static_cast<int64_t>(f));
+    }
+  });
+  EXPECT_EQ(visited, files);
+  // Cold: every distinct page misses exactly once, fewer than one per file.
+  EXPECT_EQ(io.CacheStats().misses - misses_before, got.pages);
+  EXPECT_LT(got.pages, files.size());
+  EXPECT_LT(got.cost.seconds(), one_by_one.seconds());
+}
+
 // ---------- WAL ----------
 
 TEST(WalTest, AppendReplayTruncate) {

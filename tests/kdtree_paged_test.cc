@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "index/index_group.h"
@@ -24,11 +25,20 @@ std::vector<std::vector<double>> RandomPoints(size_t n, size_t dims,
   return pts;
 }
 
+// gtest prints a parameter it has no printer for as its raw bytes, and
+// that print becomes the CTest name.  So the struct has no padding (the
+// layout is widened to a full word): padding bytes would carry whatever
+// the stack held and change the names from one build to the next.
 struct LayoutParam {
-  KdLayout layout;
+  LayoutParam(KdLayout l, size_t d, uint64_t s)
+      : layout(static_cast<uint64_t>(l)), dims(d), seed(s) {}
+  KdLayout kd_layout() const { return static_cast<KdLayout>(layout); }
+
+  uint64_t layout;
   size_t dims;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<LayoutParam>);
 
 class KdLayoutTest : public ::testing::TestWithParam<LayoutParam> {};
 
@@ -37,7 +47,7 @@ class KdLayoutTest : public ::testing::TestWithParam<LayoutParam> {};
 TEST_P(KdLayoutTest, ResultsMatchBruteForce) {
   const auto p = GetParam();
   sim::IoContext io;
-  KdTree tree(io.CreateStore(), p.dims, p.layout);
+  KdTree tree(io.CreateStore(), p.dims, p.kd_layout());
   auto points = RandomPoints(600, p.dims, p.seed);
   for (FileId f = 0; f < points.size(); ++f) tree.Insert(points[f], f);
 

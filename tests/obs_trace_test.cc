@@ -195,5 +195,78 @@ TEST(ObsTraceTest, TracesAreBitIdenticalAcrossRunsAndEngines) {
   expect_identical(a, c, "serial-vs-parallel");
 }
 
+// A cold search explains its own cost: every group.search span says how
+// many record pages it read and whether the index alone answered.
+TEST(ObsTraceTest, ColdSearchSpansTagRecordFetch) {
+  ClusterConfig cfg;
+  cfg.index_nodes = 2;
+  cfg.tracing = true;
+  cfg.master.acg_policy.cluster_target = 16;
+  PropellerCluster cluster(cfg);
+  ASSERT_TRUE(cluster.client()
+                  .CreateIndex({"by_attrs", index::IndexType::kKdTree,
+                                {"size", "mtime"}})
+                  .ok());
+  ASSERT_TRUE(cluster.client()
+                  .CreateIndex({"by_path", index::IndexType::kKeyword, {"path"}})
+                  .ok());
+  std::vector<FileUpdate> updates;
+  for (uint64_t f = 1; f <= 64; ++f) {
+    FileUpdate u;
+    u.file = f;
+    u.attrs.Set("size", AttrValue(static_cast<int64_t>(f * 1000)));
+    u.attrs.Set("mtime", AttrValue(static_cast<int64_t>(f)));
+    u.attrs.Set("path", AttrValue(f % 2 == 0 ? "/even/x" : "/odd/x"));
+    updates.push_back(std::move(u));
+  }
+  ASSERT_TRUE(
+      cluster.client().BatchUpdate(std::move(updates), cluster.now()).ok());
+  cluster.AdvanceTime(6.0);  // commit the staged batch
+
+  // Returns the group.search spans of one search run on cold caches.
+  auto cold_search = [&](const Predicate& p, const std::string& index) {
+    cluster.DropAllCaches();
+    cluster.tracer().Clear();
+    auto r = cluster.client().Search(p, index);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<obs::Span> group_spans;
+    for (const obs::Span& s : cluster.tracer().Spans()) {
+      if (s.name == "group.search") group_spans.push_back(s);
+    }
+    return group_spans;
+  };
+  auto tag = [](const obs::Span& s, const std::string& k) {
+    for (const auto& [tk, tv] : s.tags) {
+      if (tk == k) return tv;
+    }
+    ADD_FAILURE() << s.name << " has no tag " << k;
+    return std::string();
+  };
+
+  // Fully covered by the K-D tree: no record page is read anywhere.
+  Predicate covered;
+  covered.And("size", CmpOp::kGt, AttrValue(int64_t{16000}))
+      .And("mtime", CmpOp::kLe, AttrValue(int64_t{40}));
+  auto spans = cold_search(covered, "by_attrs");
+  ASSERT_FALSE(spans.empty());
+  for (const obs::Span& s : spans) {
+    EXPECT_EQ(tag(s, "index_only"), "1");
+    EXPECT_EQ(tag(s, "record_pages"), "0");
+  }
+
+  // A keyword term needs verification: the spans carry the pages read.
+  Predicate keyword;
+  keyword.And("path", CmpOp::kContainsWord, AttrValue("even"))
+      .And("mtime", CmpOp::kLe, AttrValue(int64_t{40}));
+  spans = cold_search(keyword, "by_path");
+  ASSERT_FALSE(spans.empty());
+  uint64_t pages = 0;
+  for (const obs::Span& s : spans) {
+    EXPECT_EQ(tag(s, "index_only"), "0");
+    pages += std::stoull(tag(s, "record_pages"));
+  }
+  EXPECT_GT(pages, 0u);
+}
+
 }  // namespace
 }  // namespace propeller::core

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "kd_differential.h"
 #include "sim/io_context.h"
 
 namespace propeller::index {
@@ -360,6 +361,66 @@ TEST(SegmentedAccessPathTest, AllIndexTypesServeFromSegments) {
   auto r2 = g.Search(kw);
   EXPECT_EQ(Sorted(r2.files), (std::vector<FileId>{1, 2}));
   EXPECT_EQ(r2.access_path, "segments[1]:keyword:by_kw");
+}
+
+// Exclusive bounds and the precision guard hold per segment too.
+TEST(SegmentedKdTest, ExclusiveBoundsAndPrecisionGuard) {
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  sim::IoContext io;
+  IndexGroup g(13, &io, SegmentedOptions());
+  ASSERT_TRUE(
+      g.CreateIndex({"kd", IndexType::kKdTreePaged, {"size", "mtime"}}).ok());
+  g.StageUpdate(Upsert(1, 2, 0, "/f1"));
+  g.Commit();  // segment 1: exact coordinates only
+  g.StageUpdate(Upsert(2, k2p53 + 1, 0, "/f2"));
+  g.Commit();  // segment 2: 2^53 + 1 is not a double
+
+  Predicate gt;
+  gt.And("size", CmpOp::kGt, AttrValue(1.5));
+  auto r = g.Search(gt);
+  EXPECT_EQ(Sorted(r.files), (std::vector<FileId>{1, 2}));
+  EXPECT_FALSE(r.index_only) << "the inexact segment must be verified";
+
+  Predicate lt;
+  lt.And("size", CmpOp::kLt, AttrValue(2.5));
+  EXPECT_EQ(g.Search(lt).files, (std::vector<FileId>{1}));
+
+  Predicate le;
+  le.And("size", CmpOp::kLe, AttrValue(k2p53));
+  auto guard = g.Search(le);
+  EXPECT_EQ(guard.files, (std::vector<FileId>{1}));
+  EXPECT_GT(guard.record_pages, 0u);
+}
+
+TEST(SegmentedKdTest, CoveredPredicateIsIndexOnlyAcrossSegments) {
+  sim::IoContext io;
+  IndexGroup g(14, &io, SegmentedOptions());
+  ASSERT_TRUE(
+      g.CreateIndex({"kd", IndexType::kKdTree, {"size", "mtime"}}).ok());
+  for (FileId f = 1; f <= 30; ++f) {
+    g.StageUpdate(Upsert(f, static_cast<int64_t>(f), 0, "/f"));
+    if (f % 15 == 0) g.Commit();  // two segments; a tier needs three
+  }
+  ASSERT_GE(g.NumSegments(), 2u);
+  Predicate p;
+  p.And("size", CmpOp::kGt, AttrValue(int64_t{25}));
+  auto r = g.Search(p);
+  EXPECT_EQ(Sorted(r.files), (std::vector<FileId>{26, 27, 28, 29, 30}));
+  EXPECT_TRUE(r.index_only);
+  EXPECT_EQ(r.record_pages, 0u);
+}
+
+TEST(SegmentedDifferentialTest, KdAndKeywordSearchesMatchBruteForce) {
+  for (IndexType type : {IndexType::kKdTree, IndexType::kKdTreePaged}) {
+    SCOPED_TRACE(IndexTypeName(type));
+    KdDifferentialStats stats = RunKdDifferential(
+        SegmentedOptions(/*max_segments=*/3, /*size_ratio=*/2.0,
+                         /*tier_run=*/2),
+        type, /*seed=*/2024);
+    EXPECT_EQ(stats.searches, 200);
+    EXPECT_GT(stats.index_only, 20);
+    EXPECT_GT(stats.verified, 20);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Simulation substrate: cost algebra, disk model, IoContext, net model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "sim/cost.h"
 #include "sim/disk_model.h"
 #include "sim/io_context.h"
@@ -122,6 +126,98 @@ TEST(PageCacheStatsTest, HitRate) {
   stats.hits = 3;
   stats.misses = 1;
   EXPECT_DOUBLE_EQ(stats.HitRate(), 0.75);
+}
+
+// --- IoContext::ReadPages: the batched, page-sorted read ---
+
+TEST(ReadPagesTest, LoneColdPageCostsOneRandomAccess) {
+  IoContext io;
+  PageStore store = io.CreateStore();
+  EXPECT_EQ(store.ReadPages({42}).seconds(),
+            io.disk().RandomPageAccess().seconds());
+  EXPECT_TRUE(io.IsCached(PageId{store.id(), 42}));
+  EXPECT_EQ(io.CacheStats().misses, 1u);
+}
+
+TEST(ReadPagesTest, AdjacentColdPagesCostOneSweepOfTheirSpan) {
+  IoContext io;
+  PageStore store = io.CreateStore();
+  EXPECT_EQ(store.ReadPages({3, 4, 5, 6}).seconds(),
+            io.disk().SequentialPages(4).seconds());
+  // A short gap is read through: one sweep over the whole span, but only
+  // the requested pages enter the cache.
+  EXPECT_EQ(store.ReadPages({100, 110}).seconds(),
+            io.disk().SequentialPages(11).seconds());
+  EXPECT_TRUE(io.IsCached(PageId{store.id(), 110}));
+  EXPECT_FALSE(io.IsCached(PageId{store.id(), 105}));
+  EXPECT_EQ(io.CachedPages(), 6u);
+}
+
+TEST(ReadPagesTest, PagesFartherApartThanSeekOverTransferAreSeparateSweeps) {
+  IoContext io;
+  PageStore store = io.CreateStore();
+  const DiskModel& disk = io.disk();
+  // Defaults: a 12.67 ms reposition buys 309 pages of 40.96 us transfer.
+  EXPECT_TRUE(disk.SweepAbsorbsGap(309));
+  EXPECT_FALSE(disk.SweepAbsorbsGap(310));
+  EXPECT_EQ(store.ReadPages({0, 310}).seconds(),
+            disk.SequentialPages(311).seconds());
+  EXPECT_DOUBLE_EQ(store.ReadPages({1000, 1311}).seconds(),
+                   2 * disk.RandomPageAccess().seconds());
+  EXPECT_DOUBLE_EQ(
+      store.ReadPages({2000, 2001, 5000, 9000, 9002}).seconds(),
+      (disk.SequentialPages(2) + disk.RandomPageAccess() +
+       disk.SequentialPages(3))
+          .seconds());
+}
+
+TEST(ReadPagesTest, FullyCachedBatchCostsOneHitPerPage) {
+  IoContext io(IoParams{.disk = {}, .cache_pages = 64, .cache_hit_us = 2});
+  PageStore store = io.CreateStore();
+  const std::vector<uint64_t> pages = {1, 5, 9, 400, 4000};
+  store.ReadPages(pages);
+  const auto misses = io.CacheStats().misses;
+  EXPECT_DOUBLE_EQ(store.ReadPages(pages).seconds(), 5 * 2e-6);
+  EXPECT_EQ(io.CacheStats().misses, misses);
+  EXPECT_EQ(io.CacheStats().hits, 5u);
+}
+
+// Property: from identical caches, one batched read never costs more than
+// touching the same pages one by one (in the same ascending order), and
+// leaves exactly the same pages resident.
+TEST(ReadPagesTest, NeverDearerThanPerPageTouchesAndSameResidency) {
+  constexpr uint64_t kSpace = 3000;
+  const IoParams params{.disk = {}, .cache_pages = 96, .cache_hit_us = 2};
+  IoContext batched(params);
+  IoContext single(params);
+  PageStore a = batched.CreateStore();
+  PageStore b = single.CreateStore();
+  ASSERT_EQ(a.id(), b.id());
+  Rng rng(7);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<uint64_t> pages;
+    const uint64_t n = 1 + rng.Uniform(40);
+    // Alternate dense and sparse draws so both short gaps and long seeks
+    // (and a cache that keeps some pages warm) all occur.
+    const uint64_t space = round % 2 == 0 ? 200 : kSpace;
+    for (uint64_t i = 0; i < n; ++i) pages.push_back(rng.Uniform(space));
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+
+    Cost one_by_one;
+    for (uint64_t p : pages) one_by_one += b.Read(p);
+    const Cost batch = a.ReadPages(pages);
+    ASSERT_LE(batch.seconds(), one_by_one.seconds() + 1e-12)
+        << "round " << round;
+    ASSERT_EQ(batched.CachedPages(), single.CachedPages()) << "round " << round;
+    for (uint64_t p = 0; p < kSpace; ++p) {
+      ASSERT_EQ(batched.IsCached(PageId{a.id(), p}),
+                single.IsCached(PageId{b.id(), p}))
+          << "round " << round << " page " << p;
+    }
+  }
+  EXPECT_EQ(batched.CacheStats().hits, single.CacheStats().hits);
+  EXPECT_EQ(batched.CacheStats().misses, single.CacheStats().misses);
 }
 
 }  // namespace
