@@ -4,9 +4,21 @@
 
 namespace propeller::baseline {
 
+namespace {
+
+uint64_t InodePages(uint64_t files, const BruteForceParams& params) {
+  return 1 + files / params.inodes_per_page;
+}
+
+}  // namespace
+
+// The inode table predates the search and is never written through this
+// model, so its pages are declared on disk from the start.
 BruteForceSearch::BruteForceSearch(const fs::Namespace* ns,
                                    BruteForceParams params)
-    : ns_(ns), params_(params), inode_store_(io_.CreateStore()) {}
+    : ns_(ns),
+      params_(params),
+      inode_store_(io_.CreateStore(InodePages(ns->NumFiles(), params))) {}
 
 BruteForceSearch::Result BruteForceSearch::Search(const index::Predicate& pred) {
   Result out;
@@ -18,7 +30,7 @@ BruteForceSearch::Result BruteForceSearch::Search(const index::Predicate& pred) 
   // I/O model: inodes are clustered on pages; a full walk touches every
   // inode page once (random-ish across directories -> page-granular
   // touches through the cache) plus CPU per file.
-  uint64_t pages = 1 + files / params_.inodes_per_page;
+  uint64_t pages = InodePages(files, params_);
   for (uint64_t p = 0; p < pages; ++p) out.cost += inode_store_.Read(p);
   out.cost +=
       sim::Cost(params_.cpu_us_per_file / 1e6 * static_cast<double>(files));

@@ -46,14 +46,15 @@ BPlusTree::~BPlusTree() {
 BPlusTree::BPlusTree(BPlusTree&&) noexcept = default;
 BPlusTree& BPlusTree::operator=(BPlusTree&&) noexcept = default;
 
-sim::Cost BPlusTree::Insert(const AttrValue& key, FileId file) {
+sim::Cost BPlusTree::Insert(const AttrValue& key, FileId file,
+                            sim::PinScope* scope) {
   sim::Cost cost;
 
   // Descend, recording the path for splits.
   std::vector<Node*> path;
   Node* n = root_.get();
   for (;;) {
-    cost += store_.Read(n->page);
+    cost += store_.Read(n->page, scope);
     path.push_back(n);
     if (n->leaf) break;
     n = n->children[ChildIndex(n->keys, key)].get();
@@ -71,7 +72,7 @@ sim::Cost BPlusTree::Insert(const AttrValue& key, FileId file) {
                           std::vector<FileId>{file});
   }
   ++num_postings_;
-  cost += store_.Write(leaf->page);
+  cost += store_.Write(leaf->page, scope);
 
   // Split upward while overfull.
   size_t level = path.size();
@@ -105,8 +106,8 @@ sim::Cost BPlusTree::Insert(const AttrValue& key, FileId file) {
       child->keys.resize(mid);
       child->children.resize(mid + 1);
     }
-    cost += store_.Write(child->page);
-    cost += store_.Write(right->page);
+    cost += store_.Write(child->page, scope);
+    cost += store_.Write(right->page, scope);
 
     if (level == 1) {
       // Split the root: grow the tree by one level.
@@ -116,7 +117,7 @@ sim::Cost BPlusTree::Insert(const AttrValue& key, FileId file) {
       new_root->children.push_back(std::move(root_));
       new_root->children.push_back(std::move(right));
       root_ = std::move(new_root);
-      cost += store_.Write(root_->page);
+      cost += store_.Write(root_->page, scope);
       break;
     }
     Node* parent = path[level - 2];
@@ -125,7 +126,7 @@ sim::Cost BPlusTree::Insert(const AttrValue& key, FileId file) {
                         std::move(separator));
     parent->children.insert(parent->children.begin() + static_cast<long>(ci) + 1,
                             std::move(right));
-    cost += store_.Write(parent->page);
+    cost += store_.Write(parent->page, scope);
     child = parent;
     --level;
   }
@@ -198,13 +199,14 @@ sim::Cost BPlusTree::BulkLoad(std::vector<std::pair<AttrValue, FileId>> entries)
   return store_.SequentialLoad(num_nodes_);
 }
 
-sim::Cost BPlusTree::Remove(const AttrValue& key, FileId file) {
+sim::Cost BPlusTree::Remove(const AttrValue& key, FileId file,
+                            sim::PinScope* scope) {
   sim::Cost cost;
   std::vector<Node*> path;
   std::vector<size_t> child_idx;
   Node* n = root_.get();
   for (;;) {
-    cost += store_.Read(n->page);
+    cost += store_.Read(n->page, scope);
     path.push_back(n);
     if (n->leaf) break;
     size_t ci = ChildIndex(n->keys, key);
@@ -225,7 +227,7 @@ sim::Cost BPlusTree::Remove(const AttrValue& key, FileId file) {
     leaf->keys.erase(it);
     leaf->postings.erase(leaf->postings.begin() + static_cast<long>(pos));
   }
-  cost += store_.Write(leaf->page);
+  cost += store_.Write(leaf->page, scope);
 
   // Unlink now-empty nodes bottom-up (no rebalancing of non-empty nodes).
   for (size_t level = path.size(); level > 1; --level) {
@@ -244,7 +246,7 @@ sim::Cost BPlusTree::Remove(const AttrValue& key, FileId file) {
       parent->keys.erase(parent->keys.begin() + static_cast<long>(ki));
     }
     --num_nodes_;
-    cost += store_.Write(parent->page);
+    cost += store_.Write(parent->page, scope);
   }
 
   // Collapse a root that has a single child.

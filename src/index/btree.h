@@ -36,8 +36,11 @@ class BPlusTree {
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
 
-  // Adds one posting.  Duplicate (key, file) postings accumulate.
-  sim::Cost Insert(const AttrValue& key, FileId file);
+  // Adds one posting.  Duplicate (key, file) postings accumulate.  A
+  // non-null `scope` charges each page once per scope (sim::PinScope), for
+  // Remove too.
+  sim::Cost Insert(const AttrValue& key, FileId file,
+                   sim::PinScope* scope = nullptr);
 
   // Builds a balanced tree bottom-up from a batch in one sequential write.
   // Only valid on an empty tree (segment builds); the result satisfies
@@ -45,7 +48,8 @@ class BPlusTree {
   sim::Cost BulkLoad(std::vector<std::pair<AttrValue, FileId>> entries);
 
   // Removes one posting for (key, file); OK (cost only) if absent.
-  sim::Cost Remove(const AttrValue& key, FileId file);
+  sim::Cost Remove(const AttrValue& key, FileId file,
+                   sim::PinScope* scope = nullptr);
 
   struct ScanResult {
     std::vector<FileId> files;

@@ -60,19 +60,20 @@ uint64_t HashIndex::BucketBasePage(size_t bi) const {
   return bi * NumPages() / buckets_.size();
 }
 
-sim::Cost HashIndex::TouchBucket(size_t bi) const {
+sim::Cost HashIndex::TouchBucket(size_t bi, sim::PinScope* scope) const {
   sim::Cost cost;
   const uint64_t base = BucketBasePage(bi);
   const uint64_t pages = std::min(BucketPages(buckets_[bi]), kMaxChain);
   for (uint64_t p = 0; p < pages; ++p) {
-    cost += store_.Read(base + p);
+    cost += store_.Read(base + p, scope);
   }
   return cost;
 }
 
-sim::Cost HashIndex::Insert(const AttrValue& key, FileId file) {
+sim::Cost HashIndex::Insert(const AttrValue& key, FileId file,
+                            sim::PinScope* scope) {
   size_t bi = BucketOf(key);
-  sim::Cost cost = TouchBucket(bi);
+  sim::Cost cost = TouchBucket(bi, scope);
   Bucket& b = buckets_[bi];
   auto bytes = static_cast<uint32_t>(16 + key.ByteSize());
   b.postings.push_back(Posting{key, file, bytes});
@@ -80,9 +81,9 @@ sim::Cost HashIndex::Insert(const AttrValue& key, FileId file) {
   total_bytes_ += bytes;
   ++num_postings_;
   // Write the tail page of the chain.
-  cost += store_.Write(BucketBasePage(bi) +
-                       std::min(BucketPages(b) - 1, kMaxChain - 1));
-  MaybeGrow(cost);
+  cost += store_.Write(
+      BucketBasePage(bi) + std::min(BucketPages(b) - 1, kMaxChain - 1), scope);
+  MaybeGrow(cost, scope);
   return cost;
 }
 
@@ -108,9 +109,10 @@ sim::Cost HashIndex::BulkLoad(
   return store_.SequentialLoad(NumPages());
 }
 
-sim::Cost HashIndex::Remove(const AttrValue& key, FileId file) {
+sim::Cost HashIndex::Remove(const AttrValue& key, FileId file,
+                            sim::PinScope* scope) {
   size_t bi = BucketOf(key);
-  sim::Cost cost = TouchBucket(bi);
+  sim::Cost cost = TouchBucket(bi, scope);
   Bucket& b = buckets_[bi];
   for (auto it = b.postings.begin(); it != b.postings.end(); ++it) {
     if (it->file == file && it->key == key) {
@@ -118,7 +120,7 @@ sim::Cost HashIndex::Remove(const AttrValue& key, FileId file) {
       total_bytes_ -= it->bytes;
       b.postings.erase(it);
       --num_postings_;
-      cost += store_.Write(BucketBasePage(bi));
+      cost += store_.Write(BucketBasePage(bi), scope);
       return cost;
     }
   }
@@ -137,7 +139,7 @@ HashIndex::LookupResult HashIndex::Lookup(const AttrValue& key) const {
 
 uint64_t HashIndex::NumPages() const { return 1 + total_bytes_ / page_bytes_; }
 
-void HashIndex::MaybeGrow(sim::Cost& cost) {
+void HashIndex::MaybeGrow(sim::Cost& cost, sim::PinScope* scope) {
   // Grow when the average bucket would chain past ~1.5 pages.
   if (total_bytes_ < buckets_.size() * page_bytes_ * 3 / 2) return;
 
@@ -154,8 +156,7 @@ void HashIndex::MaybeGrow(sim::Cost& cost) {
   }
   // Rehash = sequential read of old pages + write of new ones; old cache
   // entries no longer correspond to live pages.
-  store_.Invalidate();
-  cost += store_.SequentialLoad(old_pages + NumPages());
+  cost += store_.Rewrite(old_pages + NumPages(), NumPages(), scope);
 }
 
 }  // namespace propeller::index

@@ -20,9 +20,12 @@ class HashIndex {
  public:
   explicit HashIndex(sim::PageStore store, uint32_t initial_buckets = 64);
 
-  sim::Cost Insert(const AttrValue& key, FileId file);
+  // A non-null `scope` charges each page once per scope (sim::PinScope).
+  sim::Cost Insert(const AttrValue& key, FileId file,
+                   sim::PinScope* scope = nullptr);
   // Removes one matching posting; cost-only no-op when absent.
-  sim::Cost Remove(const AttrValue& key, FileId file);
+  sim::Cost Remove(const AttrValue& key, FileId file,
+                   sim::PinScope* scope = nullptr);
 
   // Builds the table from a batch in one sequential write, sizing the
   // directory up front so no incremental rehash fires.  Only valid on an
@@ -55,8 +58,8 @@ class HashIndex {
   uint64_t BucketPages(const Bucket& b) const;
   uint64_t BucketBasePage(size_t bi) const;
   // Charges reads on every page of bucket `bi`'s chain.
-  sim::Cost TouchBucket(size_t bi) const;
-  void MaybeGrow(sim::Cost& cost);
+  sim::Cost TouchBucket(size_t bi, sim::PinScope* scope = nullptr) const;
+  void MaybeGrow(sim::Cost& cost, sim::PinScope* scope);
 
   sim::PageStore store_;
   uint32_t page_bytes_;

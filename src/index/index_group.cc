@@ -224,7 +224,12 @@ sim::Cost IndexGroup::CommitLocked() {
   span.Tag("group", id_);
   span.Tag("records", static_cast<uint64_t>(pending_.size()));
   if (committed_ != nullptr) committed_->Add(pending_.size());
-  for (const FileUpdate& u : pending_) cost += Apply(u);
+  // The exclusive mu_ keeps every store of this group to this commit, so
+  // the pages it touches stay pinned until it ends.
+  sim::PinScope pins;
+  for (const FileUpdate& u : pending_) cost += Apply(u, pins);
+  span.Tag("pages", pins.pages());
+  span.Tag("allocated", pins.allocated());
   pending_.clear();
   has_pending_.store(false, std::memory_order_release);
   cost += wal_.Truncate();
@@ -261,46 +266,49 @@ std::optional<std::vector<double>> KdPointOf(const IndexSpec& spec,
 
 }  // namespace
 
-sim::Cost IndexGroup::Apply(const FileUpdate& update) {
+sim::Cost IndexGroup::Apply(const FileUpdate& update, sim::PinScope& pins) {
   sim::Cost cost;
   if (update.is_delete) {
-    auto erased = records_.Erase(update.file);
+    auto erased = records_.Erase(update.file, &pins);
     cost += erased.cost;
     if (erased.previous) {
       for (const NamedIndex& idx : indexes_) {
-        cost += RemovePostings(idx, update.file, *erased.previous);
+        cost += RemovePostings(idx, update.file, *erased.previous, pins);
       }
     }
     return cost;
   }
-  auto put = records_.Put(update.file, update.attrs);
+  auto put = records_.Put(update.file, update.attrs, &pins);
   cost += put.cost;
   for (const NamedIndex& idx : indexes_) {
-    if (put.previous) cost += RemovePostings(idx, update.file, *put.previous);
-    cost += InsertPostings(idx, update.file, update.attrs);
+    if (put.previous) {
+      cost += RemovePostings(idx, update.file, *put.previous, pins);
+    }
+    cost += InsertPostings(idx, update.file, update.attrs, pins);
   }
   return cost;
 }
 
 sim::Cost IndexGroup::RemovePostings(const NamedIndex& idx, FileId file,
-                                     const AttrSet& attrs) {
+                                     const AttrSet& attrs,
+                                     sim::PinScope& pins) {
   sim::Cost cost;
   switch (idx.spec.type) {
     case IndexType::kBTree: {
       const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
-      if (v != nullptr) cost += idx.btree->Remove(*v, file);
+      if (v != nullptr) cost += idx.btree->Remove(*v, file, &pins);
       break;
     }
     case IndexType::kHash: {
       const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
-      if (v != nullptr) cost += idx.hash->Remove(*v, file);
+      if (v != nullptr) cost += idx.hash->Remove(*v, file, &pins);
       break;
     }
     case IndexType::kKeyword: {
       const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
       if (v != nullptr && v->is_string()) {
         ForEachKeyword(v->as_string(), [&](std::string_view word) {
-          cost += idx.hash->Remove(AttrValue(std::string(word)), file);
+          cost += idx.hash->Remove(AttrValue(std::string(word)), file, &pins);
         });
       }
       break;
@@ -309,7 +317,7 @@ sim::Cost IndexGroup::RemovePostings(const NamedIndex& idx, FileId file,
     case IndexType::kKdTreePaged: {
       bool exact = true;
       auto point = KdPointOf(idx.spec, attrs, &exact);
-      if (point) cost += idx.kd->Remove(*point, file);
+      if (point) cost += idx.kd->Remove(*point, file, &pins);
       break;
     }
   }
@@ -317,24 +325,25 @@ sim::Cost IndexGroup::RemovePostings(const NamedIndex& idx, FileId file,
 }
 
 sim::Cost IndexGroup::InsertPostings(const NamedIndex& idx, FileId file,
-                                     const AttrSet& attrs) {
+                                     const AttrSet& attrs,
+                                     sim::PinScope& pins) {
   sim::Cost cost;
   switch (idx.spec.type) {
     case IndexType::kBTree: {
       const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
-      if (v != nullptr) cost += idx.btree->Insert(*v, file);
+      if (v != nullptr) cost += idx.btree->Insert(*v, file, &pins);
       break;
     }
     case IndexType::kHash: {
       const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
-      if (v != nullptr) cost += idx.hash->Insert(*v, file);
+      if (v != nullptr) cost += idx.hash->Insert(*v, file, &pins);
       break;
     }
     case IndexType::kKeyword: {
       const AttrValue* v = attrs.Find(idx.spec.attrs[0]);
       if (v != nullptr && v->is_string()) {
         ForEachKeyword(v->as_string(), [&](std::string_view word) {
-          cost += idx.hash->Insert(AttrValue(std::string(word)), file);
+          cost += idx.hash->Insert(AttrValue(std::string(word)), file, &pins);
         });
       }
       break;
@@ -343,7 +352,7 @@ sim::Cost IndexGroup::InsertPostings(const NamedIndex& idx, FileId file,
     case IndexType::kKdTreePaged: {
       bool exact = true;
       auto point = KdPointOf(idx.spec, attrs, &exact);
-      if (point) cost += idx.kd->Insert(*point, file, exact);
+      if (point) cost += idx.kd->Insert(*point, file, exact, &pins);
       break;
     }
   }

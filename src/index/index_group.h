@@ -313,12 +313,18 @@ class IndexGroup {
   // The *Locked helpers require mu_ held by the caller; exclusive unless
   // marked REQUIRES_SHARED (shared suffices for pure reads, and exclusive
   // holders satisfy a shared requirement).
+  // One pass over the staged updates under one PinScope: each distinct
+  // page the commit touches is charged once, and a serialized K-D image
+  // is loaded once per commit.
   sim::Cost CommitLocked() REQUIRES(mu_);
-  sim::Cost Apply(const FileUpdate& update) REQUIRES(mu_);
+  sim::Cost Apply(const FileUpdate& update, sim::PinScope& pins)
+      REQUIRES(mu_);
   sim::Cost RemovePostings(const NamedIndex& idx, FileId file,
-                           const AttrSet& attrs) REQUIRES(mu_);
+                           const AttrSet& attrs, sim::PinScope& pins)
+      REQUIRES(mu_);
   sim::Cost InsertPostings(const NamedIndex& idx, FileId file,
-                           const AttrSet& attrs) REQUIRES(mu_);
+                           const AttrSet& attrs, sim::PinScope& pins)
+      REQUIRES(mu_);
   // Picks the best index among `indexes` for `pred`; nullptr = full scan.
   static const NamedIndex* ChooseAccessPathFor(
       const Predicate& pred, const std::vector<NamedIndex>& indexes);

@@ -35,40 +35,51 @@ uint64_t KdTree::NodesPerPage() const {
   return std::max<uint64_t>(1, kPageBytes / NodeBytes(dims_));
 }
 
-sim::Cost KdTree::ChargeFullLoad() const { return store_.SequentialLoad(NumPages()); }
+uint64_t KdTree::HomePage(uint64_t slot) const {
+  if (layout_ == KdLayout::kSerialized) {
+    return slot * NodeBytes(dims_) / kPageBytes;
+  }
+  return slot / NodesPerPage();
+}
+
+sim::Cost KdTree::ChargeFullLoad(sim::PinScope* scope) const {
+  return store_.SequentialLoad(NumPages(), scope);
+}
 
 sim::Cost KdTree::Insert(const std::vector<double>& point, FileId file,
-                         bool exact) {
+                         bool exact, sim::PinScope* scope) {
   assert(point.size() == dims_);
   exact_ = exact_ && exact;
   sim::Cost cost;
-  PageCharger charger(store_);
+  sim::PinScope op_pins;  // this operation's own, without a caller scope
+  sim::PinScope* pins = scope != nullptr ? scope : &op_pins;
   // Serialized layout: the blob must be resident to modify it.
-  if (layout_ == KdLayout::kSerialized) cost += ChargeFullLoad();
+  if (layout_ == KdLayout::kSerialized) cost += ChargeFullLoad(scope);
 
   std::unique_ptr<Node>* slot = &root_;
-  Node* parent = nullptr;
+  uint64_t visited = 0;
   size_t depth = 0;
   while (*slot != nullptr) {
     Node& n = **slot;
-    if (layout_ == KdLayout::kPaged) cost += charger.Touch(n.page);
+    ++visited;
+    if (layout_ == KdLayout::kPaged) cost += store_.Read(n.page, pins);
     size_t axis = depth % dims_;
-    parent = &n;
     slot = point[axis] < n.point[axis] ? &n.left : &n.right;
     ++depth;
   }
   auto node = std::make_unique<Node>();
   node->point = point;
   node->file = file;
-  // Paged: appended nodes land on the current tail page (near their
-  // insertion order, not their subtree — Rebuild restores clustering).
-  node->page = num_nodes_ / NodesPerPage();
-  (void)parent;
+  // Appended nodes land at the image's tail (near their insertion order,
+  // not their subtree — Rebuild restores clustering).
+  node->page = HomePage(num_nodes_);
   *slot = std::move(node);
   ++num_points_;
   ++num_nodes_;
   cost += store_.Write(layout_ == KdLayout::kPaged ? (*slot)->page
-                                                   : TreeBytes() / kPageBytes);
+                                                   : TreeBytes() / kPageBytes,
+                       scope);
+  cost += sim::Cost(static_cast<double>(visited) * kCpuPerNodeUs / 1e6);
   return cost;
 }
 
@@ -103,11 +114,14 @@ sim::Cost KdTree::BulkLoad(
   return store_.SequentialLoad(NumPages());
 }
 
-sim::Cost KdTree::Remove(const std::vector<double>& point, FileId file) {
+sim::Cost KdTree::Remove(const std::vector<double>& point, FileId file,
+                         sim::PinScope* scope) {
   assert(point.size() == dims_);
   sim::Cost cost;
-  PageCharger charger(store_);
-  if (layout_ == KdLayout::kSerialized) cost += ChargeFullLoad();
+  sim::PinScope op_pins;  // this operation's own, without a caller scope
+  sim::PinScope* pins = scope != nullptr ? scope : &op_pins;
+  if (layout_ == KdLayout::kSerialized) cost += ChargeFullLoad(scope);
+  uint64_t visited = 0;
   // Ties on the split axis can land on either side (inserts go right,
   // median rebuilds may put equals left), so descend both sides on a tie.
   struct Frame {
@@ -119,12 +133,13 @@ sim::Cost KdTree::Remove(const std::vector<double>& point, FileId file) {
   while (!stack.empty()) {
     auto [n, depth] = stack.back();
     stack.pop_back();
-    if (layout_ == KdLayout::kPaged) cost += charger.Touch(n->page);
+    ++visited;
+    if (layout_ == KdLayout::kPaged) cost += store_.Read(n->page, pins);
     if (!n->deleted && n->file == file && n->point == point) {
       n->deleted = true;
       --num_points_;
-      cost += store_.Write(n->page);
-      return cost;
+      cost += store_.Write(n->page, scope);
+      break;
     }
     size_t axis = depth % dims_;
     if (n->left != nullptr && point[axis] <= n->point[axis]) {
@@ -134,13 +149,15 @@ sim::Cost KdTree::Remove(const std::vector<double>& point, FileId file) {
       stack.push_back({n->right.get(), depth + 1});
     }
   }
-  return cost;  // absent: charge the search anyway
+  // An absent point still pays for the search.
+  cost += sim::Cost(static_cast<double>(visited) * kCpuPerNodeUs / 1e6);
+  return cost;
 }
 
 KdTree::QueryResult KdTree::RangeQuery(const KdBox& box) const {
   assert(box.lo.size() == dims_ && box.hi.size() == dims_);
   QueryResult out;
-  PageCharger charger(store_);
+  sim::PinScope pins;  // each page once per query
   if (layout_ == KdLayout::kSerialized) out.cost += ChargeFullLoad();
 
   uint64_t visited = 0;
@@ -154,7 +171,7 @@ KdTree::QueryResult KdTree::RangeQuery(const KdBox& box) const {
     auto [n, depth] = stack.back();
     stack.pop_back();
     ++visited;
-    if (layout_ == KdLayout::kPaged) out.cost += charger.Touch(n->page);
+    if (layout_ == KdLayout::kPaged) out.cost += store_.Read(n->page, &pins);
     if (!n->deleted && box.Contains(n->point)) out.files.push_back(n->file);
     size_t axis = depth % dims_;
     if (n->left != nullptr && box.lo[axis] <= n->point[axis]) {
@@ -185,7 +202,7 @@ std::unique_ptr<KdTree::Node> KdTree::Build(std::vector<Node*>& nodes,
   root->file = nodes[mid]->file;
   // DFS slot assignment packs each subtree onto contiguous pages, so a
   // paged range query touching one region touches few pages.
-  root->page = (*next_slot)++ / NodesPerPage();
+  root->page = HomePage((*next_slot)++);
   root->left = Build(nodes, begin, mid, depth + 1, next_slot);
   root->right = Build(nodes, mid + 1, end, depth + 1, next_slot);
   return root;
@@ -212,8 +229,7 @@ sim::Cost KdTree::Rebuild() {
   root_ = std::move(new_root);  // old tree (and tombstones) released here
   num_nodes_ = num_points_ = live.size();
 
-  store_.Invalidate();  // on-disk image rewritten from scratch
-  cost += store_.SequentialLoad(NumPages());
+  cost += store_.Rewrite(NumPages(), NumPages());  // image rewritten
   return cost;
 }
 

@@ -14,12 +14,17 @@
 //
 // Inserts append classically (no rebalance); `Rebuild()` re-bulk-loads by
 // median splitting, which Propeller runs as background maintenance.
+//
+// Insert and Remove take an optional PinScope: a group commit passes one
+// scope to every operation it applies, so the serialized image is loaded
+// once per commit (the first operation pays, the rest find it pinned) and
+// each page is charged once.  Like RangeQuery, both charge CPU per visited
+// node for walking the resident tree.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -70,7 +75,7 @@ class KdTree {
   // `exact` is false when some coordinate came from a value a double
   // cannot hold exactly (see exact()).
   sim::Cost Insert(const std::vector<double>& point, FileId file,
-                   bool exact = true);
+                   bool exact = true, sim::PinScope* scope = nullptr);
 
   // Builds a balanced tree from a batch in one sequential write.  Only
   // valid on an empty tree (segment builds).  `exact` as for Insert, for
@@ -85,7 +90,8 @@ class KdTree {
   bool exact() const { return exact_; }
 
   // Marks a point deleted (tombstone); compaction happens on Rebuild.
-  sim::Cost Remove(const std::vector<double>& point, FileId file);
+  sim::Cost Remove(const std::vector<double>& point, FileId file,
+                   sim::PinScope* scope = nullptr);
 
   struct QueryResult {
     std::vector<FileId> files;
@@ -105,30 +111,18 @@ class KdTree {
   struct Node {
     std::vector<double> point;
     FileId file = 0;
-    uint64_t page = 0;  // home page in the paged layout
+    uint64_t page = 0;  // home page (see HomePage)
     bool deleted = false;
     std::unique_ptr<Node> left;
     std::unique_ptr<Node> right;
   };
 
-  // Tracks the distinct pages one paged operation touches and charges
-  // each exactly once.
-  class PageCharger {
-   public:
-    explicit PageCharger(const sim::PageStore& store) : store_(store) {}
-    sim::Cost Touch(uint64_t page) {
-      if (!seen_.insert(page).second) return sim::Cost::Zero();
-      return store_.Read(page);
-    }
-
-   private:
-    const sim::PageStore& store_;
-    std::unordered_set<uint64_t> seen_;
-  };
-
   uint64_t TreeBytes() const;
   uint64_t NodesPerPage() const;
-  sim::Cost ChargeFullLoad() const;
+  // The page holding the node in image slot `slot`: its byte offset's
+  // page in the serialized image, whole-node packing in the paged one.
+  uint64_t HomePage(uint64_t slot) const;
+  sim::Cost ChargeFullLoad(sim::PinScope* scope = nullptr) const;
   std::unique_ptr<Node> Build(std::vector<Node*>& nodes, size_t begin,
                               size_t end, size_t depth, uint64_t* next_slot);
 

@@ -19,10 +19,11 @@ RecordStore::GetResult RecordStore::Get(FileId file) const {
   return out;
 }
 
-RecordStore::PutResult RecordStore::Put(FileId file, AttrSet attrs) {
+RecordStore::PutResult RecordStore::Put(FileId file, AttrSet attrs,
+                                        sim::PinScope* scope) {
   PutResult out;
   uint64_t page = PageOf(file);
-  out.cost = store_.Read(page);
+  out.cost = store_.Read(page, scope);
   auto it = records_.find(file);
   if (it != records_.end()) {
     out.previous = std::move(it->second);
@@ -33,7 +34,7 @@ RecordStore::PutResult RecordStore::Put(FileId file, AttrSet attrs) {
     bytes_ += attrs.ByteSize();
     records_.emplace(file, std::move(attrs));
   }
-  out.cost += store_.Write(page);
+  out.cost += store_.Write(page, scope);
   return out;
 }
 
@@ -54,16 +55,17 @@ sim::Cost RecordStore::BulkLoad(std::vector<std::pair<FileId, AttrSet>> rows) {
   return store_.SequentialLoad(NumPages());
 }
 
-RecordStore::EraseResult RecordStore::Erase(FileId file) {
+RecordStore::EraseResult RecordStore::Erase(FileId file,
+                                            sim::PinScope* scope) {
   EraseResult out;
   uint64_t page = PageOf(file);
-  out.cost = store_.Read(page);
+  out.cost = store_.Read(page, scope);
   auto it = records_.find(file);
   if (it != records_.end()) {
     out.previous = std::move(it->second);
     bytes_ -= out.previous->ByteSize();
     records_.erase(it);
-    out.cost += store_.Write(page);
+    out.cost += store_.Write(page, scope);
   }
   return out;
 }

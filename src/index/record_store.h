@@ -53,18 +53,19 @@ class RecordStore {
   }
 
   // Inserts or replaces; returns the previous attrs (if any) so the caller
-  // can retire stale index postings, plus the cost.
+  // can retire stale index postings, plus the cost.  A non-null `scope`
+  // charges each page once per scope (sim::PinScope), for Erase too.
   struct PutResult {
     std::optional<AttrSet> previous;
     sim::Cost cost;
   };
-  PutResult Put(FileId file, AttrSet attrs);
+  PutResult Put(FileId file, AttrSet attrs, sim::PinScope* scope = nullptr);
 
   struct EraseResult {
     std::optional<AttrSet> previous;
     sim::Cost cost;
   };
-  EraseResult Erase(FileId file);
+  EraseResult Erase(FileId file, sim::PinScope* scope = nullptr);
 
   // Full scan (brute-force fallback); visits every record in FileId order.
   // Scan order reaches the wire (MigrateOutResponse records) and journal

@@ -35,6 +35,10 @@ struct PageCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
+  // Admissions of pages that did not exist on disk yet (see
+  // IoContext's allocation rule): they read nothing, so they are neither
+  // hits nor misses.
+  uint64_t allocations = 0;
 
   double HitRate() const {
     uint64_t total = hits + misses;
@@ -47,11 +51,12 @@ class PageCache {
   // capacity_pages == 0 disables caching (every access misses).
   explicit PageCache(uint64_t capacity_pages) : capacity_(capacity_pages) {}
 
-  // Touches a page; returns true on hit.  On miss the page is admitted and
-  // the LRU victim evicted if the cache is full.
-  bool Touch(PageId id) {
+  // Touches a page; returns true on hit.  Otherwise the page is admitted
+  // (the LRU victim evicted if the cache is full) and counted as a miss,
+  // or as an allocation when `allocate` says the page is new.
+  bool Touch(PageId id, bool allocate = false) {
     if (capacity_ == 0) {
-      ++stats_.misses;
+      ++(allocate ? stats_.allocations : stats_.misses);
       return false;
     }
     auto it = map_.find(id);
@@ -60,7 +65,7 @@ class PageCache {
       ++stats_.hits;
       return true;
     }
-    ++stats_.misses;
+    ++(allocate ? stats_.allocations : stats_.misses);
     if (lru_.size() >= capacity_) {
       map_.erase(lru_.back());
       lru_.pop_back();

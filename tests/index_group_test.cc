@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "kd_differential.h"
@@ -417,6 +420,124 @@ TEST(IndexGroupDifferentialTest, KdAndKeywordSearchesMatchBruteForce) {
     EXPECT_EQ(stats.searches, 200);
     EXPECT_GT(stats.index_only, 20);
     EXPECT_GT(stats.verified, 20);
+  }
+}
+
+// --- One-pass commit: each page once per commit, the K-D image once ---
+
+class CommitTest : public ::testing::Test {
+ protected:
+  sim::IoContext io_;
+};
+
+TEST_F(CommitTest, ModifiesLoadTheKdImageOnce) {
+  IndexGroup group(1, &io_);
+  ASSERT_TRUE(
+      group.CreateIndex({"kd", IndexType::kKdTree, {"size", "mtime"}}).ok());
+  for (FileId f = 0; f < 2000; ++f) {
+    group.StageUpdate(Upsert(f, static_cast<int64_t>(f), 1, "/d/f"));
+  }
+  group.Commit();
+  // Image hits of a commit of `n` modifies of one file (whose record
+  // page is one more hit).  Every page is warm; pages the tree grows
+  // into are allocations, not hits.
+  auto commit_hits = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      group.StageUpdate(Upsert(7, 5000 + i, i, "/d/f"));
+    }
+    const sim::PageCacheStats before = io_.CacheStats();
+    group.Commit();
+    EXPECT_EQ(io_.CacheStats().misses, before.misses);
+    return io_.CacheStats().hits - before.hits;
+  };
+  const uint64_t one = commit_hits(1);
+  EXPECT_GT(one, 20u);  // the ~22-page image, loaded once
+  EXPECT_EQ(commit_hits(32), one);
+}
+
+TEST_F(CommitTest, GrowingTheRecordHeapByAPageCostsNoDiskAccess) {
+  IndexGroup group(1, &io_);
+  group.StageUpdate(Upsert(0, 1, 1, "/d/f0"));
+  group.Commit();
+  // Stage rows until the heap crosses into its second page.
+  uint64_t bytes = FileAttrs(1, 1, "/d/f0").ByteSize();
+  FileId f = 1;
+  while (bytes <= 4096 + 512) {
+    FileUpdate u = Upsert(f, 1, 1, "/d/f" + std::to_string(f));
+    bytes += u.attrs.ByteSize();
+    group.StageUpdate(std::move(u));
+    ++f;
+  }
+  ASSERT_LT(bytes, 2 * 4096u);
+  const sim::PageCacheStats before = io_.CacheStats();
+  const sim::Cost cost = group.Commit();
+  EXPECT_LT(cost.seconds(), io_.disk().RandomPageAccess().seconds());
+  EXPECT_EQ(io_.CacheStats().allocations, before.allocations + 1);
+  EXPECT_EQ(io_.CacheStats().misses, before.misses);
+}
+
+// The pin scope changes what a commit costs, never what it does: one
+// batched commit leaves the same records and answers every query as the
+// same updates committed one at a time.
+TEST(IndexGroupDifferentialTest, BatchedCommitEqualsOneAtATime) {
+  for (IndexType type : {IndexType::kKdTree, IndexType::kKdTreePaged}) {
+    SCOPED_TRACE(IndexTypeName(type));
+    auto io = std::make_unique<sim::IoContext>();
+    auto batched = std::make_unique<IndexGroup>(1, io.get());
+    auto single = std::make_unique<IndexGroup>(2, io.get());
+    for (IndexGroup* g : {batched.get(), single.get()}) {
+      ASSERT_TRUE(g->CreateIndex({"kd", type, {"size", "mtime"}}).ok());
+      ASSERT_TRUE(g->CreateIndex({"kw", IndexType::kKeyword, {"path"}}).ok());
+      ASSERT_TRUE(g->CreateIndex({"uid", IndexType::kBTree, {"uid"}}).ok());
+    }
+    KdDifferentialDraws draws(/*seed=*/77);
+    Rng& rng = draws.rng();
+    std::map<FileId, AttrSet> live;
+    for (int step = 0; step < 400; ++step) {
+      FileUpdate u;
+      u.file = static_cast<FileId>(rng.Uniform(48));
+      u.is_delete = rng.Uniform(10) < 2;
+      if (u.is_delete) {
+        live.erase(u.file);
+      } else {
+        u.attrs = draws.Row(u.file);
+        live[u.file] = u.attrs;
+      }
+      batched->StageUpdate(u);
+      single->StageUpdate(std::move(u));
+      single->Commit();
+    }
+    batched->Commit();
+
+    auto bytes = [](const AttrSet& attrs) {
+      BinaryWriter w;
+      attrs.Serialize(w);
+      return std::move(w).Take();
+    };
+    auto records = [&](const IndexGroup& g) {
+      std::map<FileId, std::string> out;
+      g.ForEachRecord(
+          [&](FileId f, const AttrSet& attrs) { out.emplace(f, bytes(attrs)); });
+      return out;
+    };
+    std::map<FileId, std::string> want_records;
+    for (const auto& [file, attrs] : live) want_records[file] = bytes(attrs);
+    EXPECT_EQ(records(*batched), want_records);
+    EXPECT_EQ(records(*single), want_records);
+    EXPECT_EQ(batched->NumFiles(), single->NumFiles());
+    for (int q = 0; q < 200; ++q) {
+      const Predicate p = draws.Query();
+      auto a = batched->Search(p).files;
+      auto b = single->Search(p).files;
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      std::vector<FileId> want;
+      for (const auto& [file, attrs] : live) {
+        if (p.Matches(attrs)) want.push_back(file);
+      }
+      ASSERT_EQ(a, want) << p.ToString();
+      ASSERT_EQ(b, want) << p.ToString();
+    }
   }
 }
 

@@ -241,6 +241,36 @@ TEST_F(KdTreeTest, SortedInsertsTriggerRebuildAndRebalance) {
   EXPECT_FALSE(t.NeedsRebuild());
 }
 
+// A serialized node lives on its byte offset's page, so nothing the tree
+// writes lies past its image: no page at or beyond NumPages() is ever
+// cached, through seeded inserts, removes of new and old points, and
+// rebuilds.
+TEST_F(KdTreeTest, SerializedNodesLieInsideTheImage) {
+  const size_t dims = 3;
+  sim::PageStore store = io_.CreateStore();
+  KdTree t(store, dims);
+  Rng rng(31);
+  std::vector<std::vector<double>> points;
+  auto outside_image = [&]() {
+    for (uint64_t p = t.NumPages(); p < t.NumPages() + 4; ++p) {
+      if (io_.IsCached(sim::PageId{store.id(), p})) return p;
+    }
+    return uint64_t{0};
+  };
+  for (FileId f = 0; f < 2500; ++f) {
+    std::vector<double> p(dims);
+    for (auto& x : p) x = static_cast<double>(rng.UniformInt(0, 100));
+    t.Insert(p, f);
+    points.push_back(p);
+    // Remove the newest point (the image's tail) and a random older one.
+    if (f % 3 == 0) t.Remove(points[f], f);
+    const auto old = static_cast<FileId>(rng.Uniform(f + 1));
+    if (f % 5 == 0) t.Remove(points[old], old);
+    if (f % 700 == 699) t.Rebuild();
+    ASSERT_EQ(outside_image(), 0u) << "after point " << f;
+  }
+}
+
 TEST_F(KdTreeTest, WarmQueryCheaperThanCold) {
   KdTree t(io_.CreateStore(), 2);
   Rng rng(1);

@@ -9,7 +9,8 @@
 // re-inserts of a point whose earlier copy is already tombstoned.  Queries
 // mix K-D-covered predicates (answered from the index alone), K-D plus a
 // term on the unindexed `uid`, keyword + mtime (both verified against the
-// record store) and double exclusive bounds.
+// record store) and double exclusive bounds.  The draws (rows and queries)
+// live in KdDifferentialDraws so other differential checks can reuse them.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -25,6 +26,73 @@
 #include "sim/io_context.h"
 
 namespace propeller::index {
+
+// The seeded draws the differential checks share: attribute values, rows
+// and queries.
+class KdDifferentialDraws {
+ public:
+  explicit KdDifferentialDraws(uint64_t seed) : rng_(seed) {}
+
+  Rng& rng() { return rng_; }
+
+  // Values 0..6, a quarter of them nudged to x.5.
+  AttrValue Value() {
+    const int64_t base = rng_.UniformInt(0, 6);
+    if (rng_.Bernoulli(0.25)) return AttrValue(static_cast<double>(base) + 0.5);
+    return AttrValue(base);
+  }
+
+  // A fresh row for file `f`, in one of three directories.
+  AttrSet Row(FileId f) {
+    AttrSet a;
+    a.Set("size", Value());
+    a.Set("mtime", Value());
+    a.Set("uid", AttrValue(rng_.UniformInt(0, 2)));
+    const std::string dir = "/d" + std::to_string(rng_.Uniform(3));
+    a.Set("path", AttrValue(dir + "/f" + std::to_string(f)));
+    return a;
+  }
+
+  Predicate Query() {
+    const CmpOp kRangeOps[] = {CmpOp::kEq, CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                               CmpOp::kGe};
+    Predicate p;
+    switch (rng_.Uniform(4)) {
+      case 0:  // K-D covered: 1-3 comparisons on the tree's dimensions
+        for (uint64_t n = 1 + rng_.Uniform(3); n > 0; --n) {
+          const char* attr = rng_.Bernoulli(0.5) ? "size" : "mtime";
+          const CmpOp op = kRangeOps[rng_.Uniform(5)];
+          p.And(attr, op, Value());
+        }
+        break;
+      case 1: {  // keyword + mtime (the paper's Query #2 shape)
+        const std::string word = "d" + std::to_string(rng_.Uniform(3));
+        const CmpOp op = rng_.Bernoulli(0.5) ? CmpOp::kLt : CmpOp::kGe;
+        p.And("path", CmpOp::kContainsWord, AttrValue(word))
+            .And("mtime", op, Value());
+        break;
+      }
+      case 2: {  // K-D plus a residual term the tree does not hold
+        const CmpOp op = kRangeOps[rng_.Uniform(5)];
+        p.And("size", op, Value())
+            .And("uid", CmpOp::kEq, AttrValue(rng_.UniformInt(0, 2)));
+        break;
+      }
+      default: {  // double exclusive bounds
+        const double lo = static_cast<double>(rng_.UniformInt(-1, 6)) + 0.5;
+        const double mtime = rng_.UniformDouble() * 6.0;
+        p.And("size", CmpOp::kGt, AttrValue(lo))
+            .And("size", CmpOp::kLt, AttrValue(lo + 2.0))
+            .And("mtime", CmpOp::kGt, AttrValue(mtime));
+        break;
+      }
+    }
+    return p;
+  }
+
+ private:
+  Rng rng_;
+};
 
 struct KdDifferentialStats {
   int searches = 0;
@@ -42,15 +110,10 @@ inline KdDifferentialStats RunKdDifferential(const IndexGroupOptions& options,
   IndexGroup& g = *group;
   EXPECT_TRUE(g.CreateIndex({"kd", kd_type, {"size", "mtime"}}).ok());
   EXPECT_TRUE(g.CreateIndex({"kw", IndexType::kKeyword, {"path"}}).ok());
-  Rng rng(seed);
+  KdDifferentialDraws draws(seed);
+  Rng& rng = draws.rng();
   std::map<FileId, AttrSet> live;
 
-  // Values 0..6, a quarter of them nudged to x.5.
-  auto value = [&]() -> AttrValue {
-    const int64_t base = rng.UniformInt(0, 6);
-    if (rng.Bernoulli(0.25)) return AttrValue(static_cast<double>(base) + 0.5);
-    return AttrValue(base);
-  };
   auto upsert = [&](FileId f, AttrSet attrs) {
     FileUpdate u;
     u.file = f;
@@ -64,42 +127,6 @@ inline KdDifferentialStats RunKdDifferential(const IndexGroupOptions& options,
     u.is_delete = true;
     g.StageUpdate(std::move(u));
     live.erase(f);
-  };
-  const CmpOp kRangeOps[] = {CmpOp::kEq, CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
-                             CmpOp::kGe};
-  auto random_query = [&]() {
-    Predicate p;
-    switch (rng.Uniform(4)) {
-      case 0:  // K-D covered: 1-3 comparisons on the tree's dimensions
-        for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
-          const char* attr = rng.Bernoulli(0.5) ? "size" : "mtime";
-          const CmpOp op = kRangeOps[rng.Uniform(5)];
-          p.And(attr, op, value());
-        }
-        break;
-      case 1: {  // keyword + mtime (the paper's Query #2 shape)
-        const std::string word = "d" + std::to_string(rng.Uniform(3));
-        const CmpOp op = rng.Bernoulli(0.5) ? CmpOp::kLt : CmpOp::kGe;
-        p.And("path", CmpOp::kContainsWord, AttrValue(word))
-            .And("mtime", op, value());
-        break;
-      }
-      case 2: {  // K-D plus a residual term the tree does not hold
-        const CmpOp op = kRangeOps[rng.Uniform(5)];
-        p.And("size", op, value())
-            .And("uid", CmpOp::kEq, AttrValue(rng.UniformInt(0, 2)));
-        break;
-      }
-      default: {  // double exclusive bounds
-        const double lo = static_cast<double>(rng.UniformInt(-1, 6)) + 0.5;
-        const double mtime = rng.UniformDouble() * 6.0;
-        p.And("size", CmpOp::kGt, AttrValue(lo))
-            .And("size", CmpOp::kLt, AttrValue(lo + 2.0))
-            .And("mtime", CmpOp::kGt, AttrValue(mtime));
-        break;
-      }
-    }
-    return p;
   };
 
   for (int step = 0; step < 600; ++step) {
@@ -115,19 +142,13 @@ inline KdDifferentialStats RunKdDifferential(const IndexGroupOptions& options,
       if (rng.Bernoulli(0.5)) g.Commit();
       upsert(f, std::move(same));
     } else {
-      AttrSet a;
-      a.Set("size", value());
-      a.Set("mtime", value());
-      a.Set("uid", AttrValue(rng.UniformInt(0, 2)));
-      const std::string dir = "/d" + std::to_string(rng.Uniform(3));
-      a.Set("path", AttrValue(dir + "/f" + std::to_string(f)));
-      upsert(f, std::move(a));
+      upsert(f, draws.Row(f));
     }
     if (step % 13 == 0) g.Commit();
     if (step % 97 == 0) g.MaintainIndexes();
     if (step % 3 != 0) continue;
 
-    const Predicate p = random_query();
+    const Predicate p = draws.Query();
     auto r = g.Search(p);
     std::vector<FileId> got = r.files;
     std::sort(got.begin(), got.end());

@@ -268,5 +268,69 @@ TEST(ObsTraceTest, ColdSearchSpansTagRecordFetch) {
   EXPECT_GT(pages, 0u);
 }
 
+// A commit explains its own cost: every group.commit span says how many
+// distinct pages it charged and how many of those were new (allocated
+// rather than read from disk).
+TEST(ObsTraceTest, CommitSpansTagPagesAndAllocations) {
+  ClusterConfig cfg;
+  cfg.index_nodes = 2;
+  cfg.tracing = true;
+  cfg.master.acg_policy.cluster_target = 16;
+  PropellerCluster cluster(cfg);
+  ASSERT_TRUE(cluster.client()
+                  .CreateIndex({"by_attrs", index::IndexType::kKdTree,
+                                {"size", "mtime"}})
+                  .ok());
+  ASSERT_TRUE(cluster.client()
+                  .CreateIndex({"by_path", index::IndexType::kKeyword, {"path"}})
+                  .ok());
+  // Stages version `version` of files 1-64 and returns the group.commit
+  // spans of the search that commits them.
+  auto committed_by_search = [&](int64_t version) {
+    std::vector<FileUpdate> updates;
+    for (uint64_t f = 1; f <= 64; ++f) {
+      FileUpdate u;
+      u.file = f;
+      u.attrs.Set("size", AttrValue(static_cast<int64_t>(f * 1000) + version));
+      u.attrs.Set("mtime", AttrValue(version));
+      u.attrs.Set("path", AttrValue("/d/x" + std::to_string(f)));
+      updates.push_back(std::move(u));
+    }
+    EXPECT_TRUE(
+        cluster.client().BatchUpdate(std::move(updates), cluster.now()).ok());
+    cluster.tracer().Clear();
+    Predicate p;
+    p.And("size", CmpOp::kGt, AttrValue(int64_t{0}));
+    EXPECT_TRUE(cluster.client().Search(p, "by_attrs").ok());
+    std::vector<obs::Span> commits;
+    for (const obs::Span& s : cluster.tracer().Spans()) {
+      if (s.name == "group.commit") commits.push_back(s);
+    }
+    return commits;
+  };
+  auto tag = [](const obs::Span& s, const std::string& k) -> uint64_t {
+    for (const auto& [tk, tv] : s.tags) {
+      if (tk == k) return std::stoull(tv);
+    }
+    ADD_FAILURE() << s.name << " has no tag " << k;
+    return 0;
+  };
+
+  // Fresh groups: the record heap and the keyword table are new pages.
+  auto first = committed_by_search(1);
+  ASSERT_FALSE(first.empty());
+  for (const obs::Span& s : first) {
+    EXPECT_GT(tag(s, "allocated"), 0u);
+    EXPECT_GT(tag(s, "pages"), tag(s, "allocated"));
+  }
+  // Rewriting the same files touches pages that exist by now.
+  auto second = committed_by_search(2);
+  ASSERT_EQ(second.size(), first.size());
+  for (const obs::Span& s : second) {
+    EXPECT_GT(tag(s, "pages"), 0u);
+    EXPECT_LE(tag(s, "allocated"), tag(s, "pages"));
+  }
+}
+
 }  // namespace
 }  // namespace propeller::core

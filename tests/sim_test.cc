@@ -59,9 +59,18 @@ TEST(DiskModelTest, AppendHasNoSeek) {
   EXPECT_LT(disk.AppendBytes(4096).seconds(), 0.0001);
 }
 
+// A store whose first `pages` pages are on disk but not cached: written
+// (allocated), then dropped from the cache as by a reboot.
+PageStore WrittenStore(IoContext& io, uint64_t pages) {
+  PageStore store = io.CreateStore();
+  for (uint64_t p = 0; p < pages; ++p) store.Write(p);
+  io.DropCaches();
+  return store;
+}
+
 TEST(IoContextTest, CacheHitsAreCheapMissesAreNot) {
   IoContext io(IoParams{.disk = {}, .cache_pages = 16, .cache_hit_us = 2});
-  PageStore store = io.CreateStore();
+  PageStore store = WrittenStore(io, 2);
   double miss = store.Read(1).seconds();
   double hit = store.Read(1).seconds();
   EXPECT_GT(miss, 0.01);
@@ -74,6 +83,9 @@ TEST(IoContextTest, StoresAreIsolatedInCache) {
   IoContext io;
   PageStore a = io.CreateStore();
   PageStore b = io.CreateStore();
+  a.Write(1);
+  b.Write(1);
+  io.DropCaches();
   a.Read(1);
   // Same page number, different store: still a miss.
   EXPECT_GT(b.Read(1).seconds(), 0.01);
@@ -90,7 +102,7 @@ TEST(IoContextTest, SequentialLoadWarmsCache) {
 TEST(IoContextTest, InvalidateStoreForcesMisses) {
   IoContext io;
   PageStore store = io.CreateStore();
-  store.Read(7);
+  store.Write(7);
   store.Invalidate();
   EXPECT_GT(store.Read(7).seconds(), 0.01);
 }
@@ -110,6 +122,82 @@ TEST(IoContextTest, CapacityZeroDisablesCaching) {
   PageStore store = io.CreateStore();
   store.Read(1);
   EXPECT_GT(store.Read(1).seconds(), 0.01) << "no cache -> always miss";
+}
+
+// --- Write-back allocation: pages no write has created cost no disk I/O ---
+
+TEST(AllocationTest, AllocationCostsOneHitAndNoDiskAccess) {
+  IoContext io(IoParams{.disk = {}, .cache_pages = 16, .cache_hit_us = 2});
+  PageStore store = io.CreateStore();
+  EXPECT_DOUBLE_EQ(store.Write(5).seconds(), 2e-6);
+  EXPECT_TRUE(io.IsCached(PageId{store.id(), 5}));
+  // Reading a page past the extent allocates it too.
+  EXPECT_DOUBLE_EQ(store.Read(9).seconds(), 2e-6);
+  EXPECT_EQ(io.CacheStats().allocations, 2u);
+  EXPECT_EQ(io.CacheStats().misses, 0u);
+}
+
+TEST(AllocationTest, DroppedAllocatedPageCostsARandomAccess) {
+  IoContext io;
+  PageStore store = io.CreateStore();
+  store.Write(3);
+  io.DropCaches();
+  EXPECT_EQ(store.Read(3).seconds(), io.disk().RandomPageAccess().seconds());
+  // Extending the extent to page 3 put pages 0-2 on disk as well.
+  EXPECT_EQ(store.Read(1).seconds(), io.disk().RandomPageAccess().seconds());
+  EXPECT_EQ(io.CacheStats().misses, 2u);
+}
+
+TEST(AllocationTest, RewriteSetsTheExtentToTheNewImage) {
+  IoContext io(IoParams{.disk = {}, .cache_pages = 64, .cache_hit_us = 2});
+  PageStore store = WrittenStore(io, 10);
+  // Same charge as Invalidate + SequentialLoad of the pass.
+  EXPECT_EQ(store.Rewrite(14, 4).seconds(),
+            io.disk().SequentialPages(14).seconds());
+  io.DropCaches();
+  const auto misses = io.CacheStats().misses;
+  // Page 6 was on disk before the rewrite but lies past the new image.
+  EXPECT_DOUBLE_EQ(store.Read(6).seconds(), 2e-6);
+  EXPECT_EQ(store.Read(2).seconds(), io.disk().RandomPageAccess().seconds());
+  EXPECT_EQ(io.CacheStats().misses, misses + 1);
+}
+
+TEST(AllocationTest, AllocationsAreNotMisses) {
+  IoContext io;
+  PageStore store = io.CreateStore();
+  store.ReadPages({0, 1, 2});
+  store.Read(1);
+  const PageCacheStats stats = io.CacheStats();
+  EXPECT_EQ(stats.allocations, 3u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_DOUBLE_EQ(stats.HitRate(), 1.0);
+}
+
+TEST(AllocationTest, DeclaredPagesAreOnDiskFromTheStart) {
+  IoContext io;
+  PageStore store = io.CreateStore(/*existing_pages=*/8);
+  EXPECT_EQ(store.Read(7).seconds(), io.disk().RandomPageAccess().seconds());
+  EXPECT_EQ(io.CacheStats().misses, 1u);
+}
+
+TEST(PinScopeTest, EachPageIsChargedOncePerScope) {
+  IoContext io(IoParams{.disk = {}, .cache_pages = 64, .cache_hit_us = 2});
+  PageStore store = WrittenStore(io, 4);
+  PinScope pins;
+  EXPECT_EQ(store.Read(2, &pins).seconds(),
+            io.disk().RandomPageAccess().seconds());
+  EXPECT_EQ(store.Write(2, &pins).seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(store.Write(6, &pins).seconds(), 2e-6);  // allocated
+  EXPECT_EQ(store.Read(6, &pins).seconds(), 0.0);
+  // A load of the image charges only the pages not pinned yet.
+  EXPECT_EQ(store.SequentialLoad(4, &pins).seconds(),
+            io.disk().SequentialPages(3).seconds());
+  EXPECT_EQ(store.SequentialLoad(4, &pins).seconds(), 0.0);
+  EXPECT_EQ(pins.pages(), 5u);
+  EXPECT_EQ(pins.allocated(), 1u);
+  // Outside the scope the pages are charged again, as cache hits.
+  EXPECT_DOUBLE_EQ(store.Read(2).seconds(), 2e-6);
 }
 
 TEST(NetModelTest, LatencyPlusBandwidth) {
@@ -132,7 +220,7 @@ TEST(PageCacheStatsTest, HitRate) {
 
 TEST(ReadPagesTest, LoneColdPageCostsOneRandomAccess) {
   IoContext io;
-  PageStore store = io.CreateStore();
+  PageStore store = WrittenStore(io, 43);
   EXPECT_EQ(store.ReadPages({42}).seconds(),
             io.disk().RandomPageAccess().seconds());
   EXPECT_TRUE(io.IsCached(PageId{store.id(), 42}));
@@ -141,7 +229,7 @@ TEST(ReadPagesTest, LoneColdPageCostsOneRandomAccess) {
 
 TEST(ReadPagesTest, AdjacentColdPagesCostOneSweepOfTheirSpan) {
   IoContext io;
-  PageStore store = io.CreateStore();
+  PageStore store = WrittenStore(io, 111);
   EXPECT_EQ(store.ReadPages({3, 4, 5, 6}).seconds(),
             io.disk().SequentialPages(4).seconds());
   // A short gap is read through: one sweep over the whole span, but only
@@ -155,7 +243,7 @@ TEST(ReadPagesTest, AdjacentColdPagesCostOneSweepOfTheirSpan) {
 
 TEST(ReadPagesTest, PagesFartherApartThanSeekOverTransferAreSeparateSweeps) {
   IoContext io;
-  PageStore store = io.CreateStore();
+  PageStore store = WrittenStore(io, 9003);
   const DiskModel& disk = io.disk();
   // Defaults: a 12.67 ms reposition buys 309 pages of 40.96 us transfer.
   EXPECT_TRUE(disk.SweepAbsorbsGap(309));
