@@ -215,6 +215,10 @@ void PropellerClient::StoreFilePlacements(const ResolveUpdateResponse& resp) {
   bool any_evict = false;
   for (uint32_t s = 0; s < n; ++s) any_evict = any_evict || evict[s] != 0;
   if (any_evict) {
+    // The placement moved on: cached search targets may predate groups
+    // this very resolve created (this client's next search must see the
+    // rows it just wrote there), so they go too.
+    search_cache_.clear();
     for (auto it = file_cache_.begin(); it != file_cache_.end();) {
       if (evict[ShardOfFile(it->first, n)] != 0) {
         it = file_cache_.erase(it);
@@ -522,10 +526,9 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   std::unordered_map<GroupId, std::vector<NodeId>> rsets;
   if (config_.replicated) rsets = SnapshotReplicaSets();
 
-  // Bucket updates per group (a group lives on exactly one node): a flat
-  // vector filled through a reserved hash index, then whole buckets sorted
-  // by (node, group) — the same deterministic shipment order the previous
-  // ordered-map implementation produced, without its per-insert rebalance.
+  // Bucket updates per group (a group's primary lives on exactly one
+  // node): a flat vector filled through a reserved hash index, then whole
+  // buckets sorted by (node, group) so shipment order is deterministic.
   struct Bucket {
     NodeId node = 0;
     GroupId group = 0;
@@ -552,174 +555,209 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     return Status::Ok();
   };
 
-  // Encode every stage-request payload up front (deterministic order), one
-  // shipment per (node, group) bucket.  A bucket's batches must stay in
-  // order — same-file updates may span batches — so a shipment is the unit
-  // of concurrency, not a batch.
-  struct Shipment {
-    NodeId node = 0;
+  // One group's write: the replicas it goes to ([0] = primary = the
+  // resolved node; one entry unless replicated) and, per replica, the
+  // first failure any of its sections met.  A replica's slot is written
+  // only by the shipment to that replica's node, so concurrent node
+  // shipments never share a slot.
+  struct GroupWrite {
     GroupId group = 0;
-    std::vector<std::string> payloads;
-    // Replicated mode: the group's full replica set ([0] = primary = node),
-    // the same batches re-encoded with the secondary role, and the highest
-    // commit sequence the primary acked (the read-your-writes floor).
     std::vector<NodeId> replicas;
-    std::vector<std::string> secondary_payloads;
-    uint64_t acked_seq = 0;
-    sim::Cost cost;
-    Status status;
+    std::vector<Status> replica_status;
+    Status status;  // the group's verdict once every node has answered
   };
+  // One section of one stage message: updates [begin, end) of a write's
+  // bucket, bound for replica `replica` of that write.
+  struct SectionRef {
+    size_t write = 0;
+    size_t replica = 0;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+  struct Message {
+    std::vector<SectionRef> sections;
+    std::string payload;
+  };
+  // Everything one node receives from this batch: its stage messages,
+  // sent in order, and what the client waited on for them.
+  struct NodeShipment {
+    NodeId node = 0;
+    std::vector<Message> messages;
+    sim::Cost cost;
+  };
+  // Lays every bucket out as per-node messages of at most update_batch
+  // updates (a node's sections in group order; a group may straddle two
+  // messages) and encodes each message once, as soon as it is laid out.
+  // A group's last replica to be encoded takes its updates by move; the
+  // others copy them.
   auto make_shipments = [&](std::vector<Bucket> buckets,
-                            std::vector<Shipment>* out) {
-    out->reserve(buckets.size());
-    for (Bucket& bucket : buckets) {
-      Shipment s;
-      s.node = bucket.node;
-      s.group = bucket.group;
-      bool fan = false;
+                            std::vector<GroupWrite>* writes,
+                            std::vector<NodeShipment>* out) {
+    writes->reserve(buckets.size());
+    std::map<NodeId, std::vector<std::pair<size_t, size_t>>> by_node;
+    for (size_t w = 0; w < buckets.size(); ++w) {
+      const Bucket& bucket = buckets[w];
+      GroupWrite gw;
+      gw.group = bucket.group;
+      gw.replicas = {bucket.node};
       if (config_.replicated) {
         auto it = rsets.find(bucket.group);
         if (it != rsets.end() && !it->second.empty()) {
-          s.replicas = it->second;
+          gw.replicas = it->second;
           // The resolved node is authoritative for where the primary lives
           // right now; a stale memoized set keeps the secondaries only.
-          s.replicas.front() = bucket.node;
-          s.replicas.erase(std::remove(s.replicas.begin() + 1,
-                                       s.replicas.end(), bucket.node),
-                           s.replicas.end());
-        } else {
-          s.replicas = {bucket.node};
+          gw.replicas.front() = bucket.node;
+          gw.replicas.erase(std::remove(gw.replicas.begin() + 1,
+                                        gw.replicas.end(), bucket.node),
+                            gw.replicas.end());
         }
-        fan = s.replicas.size() > 1;
       }
-      for (size_t off = 0; off < bucket.updates.size();
-           off += config_.update_batch) {
-        StageUpdatesRequest sreq;
-        sreq.group = bucket.group;
-        sreq.now_s = now_s;
-        // The group's placement was resolved at its owning shard's epoch (a
-        // shard's groups carry its residue class, so the file's shard and
-        // the group's shard coincide); one shard index == legacy scalar.
-        sreq.epoch = (caching || config_.replicated)
-                         ? epochs[ShardOfGroup(bucket.group, NumShards())]
-                         : 0;
-        if (config_.replicated) sreq.replica_role = kReplicaRolePrimary;
-        sreq.admission = admission ? 1 : 0;
-        size_t end = std::min(off + config_.update_batch, bucket.updates.size());
-        sreq.updates.assign(
-            std::make_move_iterator(bucket.updates.begin() +
-                                    static_cast<long>(off)),
-            std::make_move_iterator(bucket.updates.begin() +
-                                    static_cast<long>(end)));
-        if (fan) {
-          StageUpdatesRequest dup;
-          dup.group = sreq.group;
-          dup.now_s = sreq.now_s;
-          dup.epoch = sreq.epoch;
-          dup.replica_role = kReplicaRoleSecondary;
-          dup.admission = sreq.admission;
-          dup.updates = sreq.updates;
-          s.secondary_payloads.push_back(Encode(dup));
+      gw.replica_status.resize(gw.replicas.size());
+      for (size_t j = 0; j < gw.replicas.size(); ++j) {
+        by_node[gw.replicas[j]].emplace_back(w, j);
+      }
+      writes->push_back(std::move(gw));
+    }
+    std::vector<size_t> encoded(buckets.size(), 0);  // replicas done per write
+    out->reserve(by_node.size());
+    for (auto& [node, refs] : by_node) {
+      std::sort(refs.begin(), refs.end(), [&](const auto& a, const auto& b) {
+        return buckets[a.first].group < buckets[b.first].group;
+      });
+      NodeShipment ns;
+      ns.node = node;
+      size_t rows = config_.update_batch;  // forces the first message
+      for (const auto& [w, j] : refs) {
+        const size_t n = buckets[w].updates.size();
+        for (size_t off = 0; off < n;) {
+          if (rows == config_.update_batch) {
+            ns.messages.emplace_back();
+            rows = 0;
+          }
+          const size_t take = std::min(n - off, config_.update_batch - rows);
+          ns.messages.back().sections.push_back(
+              SectionRef{w, j, off, off + take});
+          off += take;
+          rows += take;
         }
-        s.payloads.push_back(Encode(sreq));
       }
-      out->push_back(std::move(s));
+      for (Message& m : ns.messages) {
+        StageUpdatesRequest req;
+        req.now_s = now_s;
+        req.admission = admission ? 1 : 0;
+        req.sections.resize(m.sections.size());
+        for (size_t k = 0; k < m.sections.size(); ++k) {
+          const SectionRef& ref = m.sections[k];
+          StageSection& section = req.sections[k];
+          section.group = buckets[ref.write].group;
+          // The group's placement was resolved at its owning shard's epoch
+          // (a shard's groups carry its residue class, so the file's shard
+          // and the group's shard coincide).
+          section.epoch = (caching || config_.replicated)
+                              ? epochs[ShardOfGroup(section.group, NumShards())]
+                              : 0;
+          if (config_.replicated) {
+            section.replica_role =
+                ref.replica == 0 ? kReplicaRolePrimary : kReplicaRoleSecondary;
+          }
+          std::vector<FileUpdate>& src = buckets[ref.write].updates;
+          auto first = src.begin() + static_cast<long>(ref.begin);
+          auto last = src.begin() + static_cast<long>(ref.end);
+          if (encoded[ref.write] + 1 == (*writes)[ref.write].replicas.size()) {
+            section.updates.assign(std::make_move_iterator(first),
+                                   std::make_move_iterator(last));
+          } else {
+            section.updates.assign(first, last);
+          }
+        }
+        m.payload = Encode(req);
+      }
+      for (const auto& ref : refs) ++encoded[ref.first];
+      out->push_back(std::move(ns));
     }
   };
-  std::vector<Bucket> buckets;
-  PROPELLER_RETURN_IF_ERROR(make_buckets(std::move(updates), &buckets));
-  std::vector<Shipment> shipments;
-  make_shipments(std::move(buckets), &shipments);
 
-  // Stage on the Index Nodes.  Requests to *different* nodes proceed in
-  // parallel (simulated cost = slowest node); a node handles its batches
-  // serially.  With an RPC pool the shipments also execute concurrently in
-  // wall-clock time; per-shipment costs are state-independent WAL appends,
-  // so the aggregate below matches the serial run exactly.
-  // Every fan-out branch starts from the cursor captured at its fan-out
-  // instant — in serial mode too — so span timestamps mirror the cost model
-  // (branches run concurrently) regardless of execution order.
-  // Every shipment is attempted even when one fails — partial-failure
-  // semantics: independent buckets still land, and the error below names
-  // exactly the (node, group) buckets that did not.
-  // When a repair pass may re-ship failed payloads (caching or replicated
+  // Stage on the Index Nodes: one shipment per destination node.  Nodes
+  // proceed in parallel (simulated cost = the slowest node); a node takes
+  // its messages in order.  With an RPC pool the node shipments also run
+  // concurrently in wall-clock time; per-section costs are
+  // state-independent WAL appends, so the aggregate matches the serial
+  // run exactly.  Every node branch starts from the cursor captured at
+  // the fan-out instant — in serial mode too — so span timestamps mirror
+  // the cost model regardless of execution order.
+  // Every node is attempted even when another fails — partial-failure
+  // semantics: independent groups still land, and the error below names
+  // exactly the (node, group) pairs that did not.  Once one of a group's
+  // sections fails on a node, its later sections are withheld from that
+  // node, so a repair never reorders a group's updates.
+  // When a repair pass may re-ship failed sections (caching or replicated
   // mode), the sent copies must survive the send: the repair decodes them
   // to recover the original updates.
   const bool keep_payloads = caching || config_.replicated;
-  auto ship_all = [&](std::vector<Shipment>& ships,
+  auto ship_all = [&](std::vector<NodeShipment>& ships,
+                      std::vector<GroupWrite>& writes,
                       const obs::TraceCursor& base) {
+    auto failed = [&](const SectionRef& ref) {
+      return !writes[ref.write].replica_status[ref.replica].ok();
+    };
     auto ship_one = [&](size_t i) {
       obs::ScopedTraceCursor branch(base);
-      Shipment& s = ships[i];
-      const bool fan = s.replicas.size() > 1;
-      for (size_t b = 0; b < s.payloads.size(); ++b) {
-        if (!fan) {
-          auto call = CallWithRetry(s.node, "in.stage_updates",
-                                    keep_payloads ? std::string(s.payloads[b])
-                                                  : std::move(s.payloads[b]));
-          s.cost += call.cost;
-          if (!call.status.ok()) {
-            s.status = call.status;
-            return;
-          }
-          if (config_.replicated) {
-            // Solo replica set but role-stamped: the primary still acks
-            // the committed sequence for read-your-writes.
-            if (auto resp = Decode<StageUpdatesResponse>(call.payload);
-                resp.ok()) {
-              s.acked_seq = std::max(s.acked_seq, resp->seq);
-              RecordAckedSeq(s.group, resp->seq);
+      NodeShipment& ns = ships[i];
+      for (Message& m : ns.messages) {
+        std::vector<SectionRef> live;
+        std::string payload;
+        if (std::none_of(m.sections.begin(), m.sections.end(), failed)) {
+          live = m.sections;
+          payload = keep_payloads ? m.payload : std::move(m.payload);
+        } else {
+          // Failure path only: re-encode without the withheld sections.
+          auto req = Decode<StageUpdatesRequest>(m.payload);
+          if (!req.ok()) {
+            for (const SectionRef& ref : m.sections) {
+              Status& slot = writes[ref.write].replica_status[ref.replica];
+              if (slot.ok()) slot = req.status();
             }
+            continue;
           }
-          continue;
-        }
-        // Replica fan-out: the batch goes to every replica concurrently
-        // (simulated latency = the slowest copy; the client waits for the
-        // quorum, and the quorum includes the slowest mandatory ack).  The
-        // primary's journal append is the durable copy, so its failure
-        // fails the batch outright; secondaries only count toward quorum.
-        const obs::TraceCursor batch_base = obs::CurrentTrace();
-        net::Transport::CallResult pcall;
-        {
-          obs::ScopedTraceCursor primary_cursor(batch_base);
-          pcall = CallWithRetry(s.replicas[0], "in.stage_updates",
-                                std::string(s.payloads[b]));
-        }
-        size_t secondary_acks = 0;
-        sim::Cost secondary_max;
-        for (size_t j = 1; j < s.replicas.size(); ++j) {
-          obs::ScopedTraceCursor secondary_cursor(batch_base);
-          auto scall = CallWithRetry(s.replicas[j], "in.stage_updates",
-                                     std::string(s.secondary_payloads[b]));
-          if (scall.cost.seconds() > secondary_max.seconds()) {
-            secondary_max = scall.cost;
+          std::vector<StageSection> kept;
+          for (size_t k = 0; k < m.sections.size(); ++k) {
+            if (failed(m.sections[k])) continue;
+            live.push_back(m.sections[k]);
+            kept.push_back(std::move(req->sections[k]));
           }
-          if (scall.status.ok()) ++secondary_acks;
+          if (live.empty()) continue;
+          req->sections = std::move(kept);
+          payload = Encode(*req);
         }
-        const sim::Cost batch_cost =
-            sim::Cost::ParallelMax({pcall.cost, secondary_max});
-        s.cost += batch_cost;
-        if (obs::CurrentTrace().active()) {
-          obs::CurrentTrace().now_s = batch_base.now_s + batch_cost.seconds();
+        auto call = CallWithRetry(ns.node, "in.stage_updates",
+                                  std::move(payload));
+        ns.cost += call.cost;
+        Status st = call.status;
+        StageUpdatesResponse resp;
+        if (st.ok()) {
+          auto decoded = Decode<StageUpdatesResponse>(call.payload);
+          if (!decoded.ok()) {
+            st = decoded.status();
+          } else if (decoded->sections.size() != live.size()) {
+            st = Status::Internal("stage response section count mismatch");
+          } else {
+            resp = std::move(*decoded);
+          }
         }
-        if (!pcall.status.ok()) {
-          s.status = pcall.status;
-          return;
-        }
-        if (auto resp = Decode<StageUpdatesResponse>(pcall.payload);
-            resp.ok()) {
-          s.acked_seq = std::max(s.acked_seq, resp->seq);
-          RecordAckedSeq(s.group, resp->seq);
-        }
-        // Quorum = primary + floor((r-1)/2) secondaries (r=2 needs the
-        // primary alone; r=3 needs one secondary; ...).
-        const size_t required = (s.replicas.size() - 1) / 2;
-        if (secondary_acks < required) {
-          s.status = Status::Unavailable(
-              "write quorum not reached for group " + std::to_string(s.group) +
-              " (" + std::to_string(secondary_acks) + "/" +
-              std::to_string(required) + " secondary acks)");
-          return;
+        for (size_t k = 0; k < live.size(); ++k) {
+          const SectionRef& ref = live[k];
+          Status& slot = writes[ref.write].replica_status[ref.replica];
+          if (!st.ok()) {
+            slot = st;
+            continue;
+          }
+          const StageUpdatesResponse::SectionResult& res = resp.sections[k];
+          if (res.code != StatusCode::kOk) {
+            slot = Status(res.code, "stage section rejected");
+          } else if (ref.replica == 0 && config_.replicated) {
+            // The primary acks the committed sequence for read-your-writes.
+            RecordAckedSeq(writes[ref.write].group, res.seq);
+          }
         }
       }
     };
@@ -729,29 +767,46 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     } else {
       for (size_t i = 0; i < ships.size(); ++i) ship_one(i);
     }
-  };
-  // Joins a completed fan-out: per-node branch costs (shipments are sorted
-  // by node, so equal nodes are contiguous) composed as a parallel max.
-  auto join = [&](const std::vector<Shipment>& ships,
-                  const obs::TraceCursor& base) {
-    std::vector<sim::Cost> branches;
-    for (const Shipment& s : ships) {
-      if (branches.empty() || s.node != ships[&s - ships.data() - 1].node) {
-        branches.push_back(s.cost);
-      } else {
-        branches.back() += s.cost;
+    // Per-group verdicts.  The primary's journal append is the durable
+    // copy, so its failure fails the group outright; secondaries only
+    // count toward the quorum = primary + floor((r-1)/2) secondaries (r=2
+    // needs the primary alone; r=3 needs one secondary; ...).
+    for (GroupWrite& gw : writes) {
+      gw.status = gw.replica_status[0];
+      if (!gw.status.ok()) continue;
+      const size_t required = (gw.replicas.size() - 1) / 2;
+      const size_t acks = static_cast<size_t>(
+          std::count_if(gw.replica_status.begin() + 1, gw.replica_status.end(),
+                        [](const Status& s) { return s.ok(); }));
+      if (acks < required) {
+        gw.status = Status::Unavailable(
+            "write quorum not reached for group " + std::to_string(gw.group) +
+            " (" + std::to_string(acks) + "/" + std::to_string(required) +
+            " secondary acks)");
       }
     }
-    cost += sim::Cost::ParallelMax(branches);
+  };
+  // Joins a completed fan-out: the client resumes when the slowest node's
+  // shipment finishes.
+  auto join = [&](const std::vector<NodeShipment>& ships,
+                  const obs::TraceCursor& base) {
+    std::vector<sim::Cost> branches;
+    branches.reserve(ships.size());
+    for (const NodeShipment& ns : ships) branches.push_back(ns.cost);
+    const sim::Cost slowest = sim::Cost::ParallelMax(branches);
+    cost += slowest;
     if (obs::CurrentTrace().active()) {
-      // Join: the client resumes when the slowest branch finishes.
-      obs::CurrentTrace().now_s =
-          base.now_s + sim::Cost::ParallelMax(branches).seconds();
+      obs::CurrentTrace().now_s = base.now_s + slowest.seconds();
     }
   };
 
+  std::vector<Bucket> buckets;
+  PROPELLER_RETURN_IF_ERROR(make_buckets(std::move(updates), &buckets));
+  std::vector<GroupWrite> writes;
+  std::vector<NodeShipment> shipments;
+  make_shipments(std::move(buckets), &writes, &shipments);
   const obs::TraceCursor fanout_base = obs::CurrentTrace();
-  ship_all(shipments, fanout_base);
+  ship_all(shipments, writes, fanout_base);
 
   // Sort failures: cache-repairable (stale routing, or a cached route to an
   // unreachable node — the master may have re-homed its groups) vs fatal.
@@ -763,60 +818,68 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     return st.code() == StatusCode::kStaleLocation ||
            st.code() == StatusCode::kUnavailable;
   };
-  auto format_failures = [](const std::vector<Shipment>& ships)
-      -> std::pair<StatusCode, std::string> {
+  // Names every failed group by its primary: (node, group) pairs.
+  auto partial_failure = [&](const std::vector<GroupWrite>& ws) {
     StatusCode code = StatusCode::kOk;
     std::string failed;
-    for (const Shipment& s : ships) {
-      if (s.status.ok()) continue;
-      if (code == StatusCode::kOk) code = s.status.code();
+    for (const GroupWrite& gw : ws) {
+      if (gw.status.ok()) continue;
+      if (code == StatusCode::kOk) code = gw.status.code();
       if (!failed.empty()) failed += "; ";
-      failed += "node " + std::to_string(s.node) + " group " +
-                std::to_string(s.group) + ": " + s.status.ToString();
+      failed += "node " + std::to_string(gw.replicas[0]) + " group " +
+                std::to_string(gw.group) + ": " + gw.status.ToString();
     }
-    return {code, failed};
+    return Status(code, "batch update partially failed (" + failed + ")");
   };
-
-  // Shed shipments (kOverloaded) are deliberately NOT repairable: the
-  // node refused the work because its queue is full, and re-offering it
+  // Shed groups (kOverloaded) are deliberately NOT repairable: the node
+  // refused the work because its queue is full, and re-offering it
   // immediately is exactly the retry storm admission control exists to
   // prevent.  They surface in the returned status; the counter lets
   // open-loop drivers account shed write load.
-  auto count_shed = [&](const std::vector<Shipment>& ships) {
-    for (const Shipment& s : ships) {
-      if (s.status.code() == StatusCode::kOverloaded) shed_updates_->Add(1);
+  auto count_shed = [&](const std::vector<GroupWrite>& ws) {
+    for (const GroupWrite& gw : ws) {
+      if (gw.status.code() == StatusCode::kOverloaded) shed_updates_->Add(1);
     }
   };
   bool retry = false;
-  for (const Shipment& s : shipments) {
-    if (!s.status.ok() && is_repairable(s.status)) retry = true;
-    if (!s.status.ok() && !is_repairable(s.status)) {
-      count_shed(shipments);
-      auto [code, failed] = format_failures(shipments);
-      return Status(code, "batch update partially failed (" + failed + ")");
+  for (const GroupWrite& gw : writes) {
+    if (gw.status.ok()) continue;
+    if (!is_repairable(gw.status)) {
+      count_shed(writes);
+      return partial_failure(writes);
     }
+    retry = true;
   }
 
   if (retry) {
     // Exactly one repair pass: drop the cache, re-resolve the failed
-    // shipments' files, and re-ship just those updates.  The client waited
-    // on the whole first fan-out, so its slowest branch lands in the cost
+    // groups' files, and re-ship just those updates.  The client waited
+    // on the whole first fan-out, so its slowest node lands in the cost
     // before the repair begins.
     join(shipments, fanout_base);
     stale_retries_->Add(1);
     InvalidateRoutingCache();
-    // Recover the failed updates from their encoded payloads (the happy
-    // path never keeps a second copy).
+    // Recover the failed groups' updates from the primaries' encoded
+    // sections (the happy path never keeps a second copy).  A group's
+    // primary sections all sit on one node, in order.
     std::vector<FileUpdate> failed_updates;
     std::vector<FileId> files;
-    for (Shipment& s : shipments) {
-      if (s.status.ok()) continue;
-      for (const std::string& payload : s.payloads) {
-        auto sreq = Decode<StageUpdatesRequest>(payload);
-        if (!sreq.ok()) return sreq.status();
-        for (FileUpdate& u : sreq->updates) {
-          files.push_back(u.file);
-          failed_updates.push_back(std::move(u));
+    for (const NodeShipment& ns : shipments) {
+      for (const Message& m : ns.messages) {
+        auto wanted = [&](const SectionRef& ref) {
+          return ref.replica == 0 && !writes[ref.write].status.ok();
+        };
+        if (std::none_of(m.sections.begin(), m.sections.end(), wanted)) {
+          continue;
+        }
+        auto req = Decode<StageUpdatesRequest>(m.payload);
+        if (!req.ok()) return req.status();
+        for (size_t k = 0; k < m.sections.size(); ++k) {
+          if (!wanted(m.sections[k])) continue;
+          for (FileUpdate& u : req->sections[k].updates) {
+            files.push_back(u.file);
+            failed_updates.push_back(std::move(u));
+          }
         }
       }
     }
@@ -825,14 +888,15 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     std::vector<Bucket> retry_buckets;
     PROPELLER_RETURN_IF_ERROR(
         make_buckets(std::move(failed_updates), &retry_buckets));
-    std::vector<Shipment> retry_shipments;
-    make_shipments(std::move(retry_buckets), &retry_shipments);
+    std::vector<GroupWrite> retry_writes;
+    std::vector<NodeShipment> retry_shipments;
+    make_shipments(std::move(retry_buckets), &retry_writes, &retry_shipments);
     const obs::TraceCursor retry_base = obs::CurrentTrace();
-    ship_all(retry_shipments, retry_base);
-    auto [code, failed] = format_failures(retry_shipments);
-    if (code != StatusCode::kOk) {
-      count_shed(retry_shipments);
-      return Status(code, "batch update partially failed (" + failed + ")");
+    ship_all(retry_shipments, retry_writes, retry_base);
+    if (std::any_of(retry_writes.begin(), retry_writes.end(),
+                    [](const GroupWrite& gw) { return !gw.status.ok(); })) {
+      count_shed(retry_writes);
+      return partial_failure(retry_writes);
     }
     join(retry_shipments, retry_base);
   } else {

@@ -133,12 +133,13 @@ class PropellerClient {
 
   // --- File indexing (real-time path) ---
   // Batches updates by target group (resolved through the master) and
-  // stages them on the owning Index Nodes in parallel.  `admission` stamps
-  // every stage request for the index nodes' bounded admission queues
-  // (open-loop traffic): an overloaded node sheds the batch with
+  // stages them on the owning Index Nodes in parallel: one in.stage_updates
+  // message per destination node (more when a node's share exceeds
+  // update_batch), one section per group.  `admission` stamps every
+  // stage message for the index nodes' bounded admission queues
+  // (open-loop traffic): an overloaded node sheds the message with
   // kOverloaded, which is NOT retried or repaired — the caller decides
-  // whether and when to re-offer the load.  Off (the default) the wire
-  // bytes are unchanged.
+  // whether and when to re-offer the load.
   Result<sim::Cost> BatchUpdate(std::vector<FileUpdate> updates, double now_s,
                                 bool admission = false);
 

@@ -156,9 +156,9 @@ net::RpcHandler::Response IndexNode::HandleCreateGroup(const std::string& payloa
 net::RpcHandler::Response IndexNode::HandleStageUpdates(const std::string& payload) {
   auto req = Decode<StageUpdatesRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
-  // Admission-stamped batches queue behind the node's workers; shedding
-  // happens here, before the journal append or any staging, so a shed
-  // batch has no side effects whatsoever.
+  // An admission-stamped message queues behind the node's workers as one
+  // request; shedding happens here, before any journal append or staging,
+  // so a shed message has no side effects whatsoever.
   const bool admitted = config_.admission_control && req->admission != 0;
   if (admitted && !AdmissionReserve(req->now_s)) {
     return Response{Status::Overloaded("admission queue full"), {},
@@ -166,14 +166,10 @@ net::RpcHandler::Response IndexNode::HandleStageUpdates(const std::string& paylo
   }
   Response out = StageUpdatesAdmitted(*req);
   if (admitted) {
-    if (out.status.ok()) {
-      const double service = out.cost.seconds();
-      out.cost = AdmissionComplete(req->now_s, out.cost);
-      if (obs::CurrentTrace().active()) {
-        obs::CurrentTrace().now_s += out.cost.seconds() - service;
-      }
-    } else {
-      AdmissionCancel();
+    const double service = out.cost.seconds();
+    out.cost = AdmissionComplete(req->now_s, out.cost);
+    if (obs::CurrentTrace().active()) {
+      obs::CurrentTrace().now_s += out.cost.seconds() - service;
     }
   }
   return out;
@@ -181,22 +177,42 @@ net::RpcHandler::Response IndexNode::HandleStageUpdates(const std::string& paylo
 
 net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
     StageUpdatesRequest& req) {
+  // One shared hold of the map lock for the whole message: the sections
+  // stage in order, each under its own group mutex.
   ReaderMutexLock lock(groups_mu_);
-  index::IndexGroup* group = Find(req.group);
+  StageUpdatesResponse resp;
+  resp.sections.reserve(req.sections.size());
+  sim::Cost cost;
+  for (StageSection& section : req.sections) {
+    resp.sections.emplace_back();
+    cost += StageSectionLocked(section, req.now_s, &resp.sections.back());
+  }
+  return Response{Status::Ok(), Encode(resp), cost};
+}
+
+sim::Cost IndexNode::StageSectionLocked(
+    StageSection& section, double now_s,
+    StageUpdatesResponse::SectionResult* result) {
+  index::IndexGroup* group = Find(section.group);
   if (group == nullptr) {
-    // A request stamped with a placement epoch came from a client-side
+    // A section stamped with a placement epoch came from a client-side
     // cache: tell it the routing went stale so it re-resolves once and
-    // retries.  Unstamped (legacy) requests keep the NotFound contract.
-    if (req.epoch > 0) {
-      return Response{Status::StaleLocation("group moved"), {},
-                      sim::Cost(10e-6)};  // metadata-only work
+    // retries.  Unstamped sections keep the NotFound contract.
+    if (section.epoch == 0) {
+      result->code = StatusCode::kNotFound;
+      return sim::Cost::Zero();
     }
-    return Response{Status::NotFound("no such group"), {}, {}};
+    result->code = StatusCode::kStaleLocation;
+    const sim::Cost lookup(10e-6);  // metadata-only work
+    if (obs::CurrentTrace().active()) {
+      obs::CurrentTrace().now_s += lookup.seconds();
+    }
+    return lookup;
   }
   stage_batches_->Add(1);
-  obs::SpanGuard span("wal.append", req.group, id_);
-  span.Tag("group", req.group);
-  span.Tag("records", static_cast<uint64_t>(req.updates.size()));
+  obs::SpanGuard span("wal.append", section.group, id_);
+  span.Tag("group", section.group);
+  span.Tag("records", static_cast<uint64_t>(section.updates.size()));
   sim::Cost cost;
   // Replicate to the shared recovery journal before staging (StageUpdate
   // consumes the update), so a node lost after acking can be rebuilt.
@@ -204,37 +220,32 @@ net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
   // durable copy — and the assigned commit sequence is acked back to the
   // client as its read-your-writes floor.  Secondaries stage in memory
   // and count what they applied so floor checks can prove freshness.
-  const bool secondary = req.replica_role == kReplicaRoleSecondary;
+  const bool secondary = section.replica_role == kReplicaRoleSecondary;
   uint64_t acked_seq = 0;
   if (config_.recovery_journal != nullptr && !secondary) {
     cost += config_.recovery_journal->AppendBatch(
-        req.group, req.updates,
-        req.replica_role == kReplicaRolePrimary ? &acked_seq : nullptr);
+        section.group, section.updates,
+        section.replica_role == kReplicaRolePrimary ? &acked_seq : nullptr);
   }
-  const uint64_t count = req.updates.size();
+  const uint64_t count = section.updates.size();
   // StageUpdate also stamps the group's oldest-pending clock (first stager
   // after a commit claims the commit-timeout slot) — atomically with the
   // staging itself, under the group mutex.
-  for (FileUpdate& u : req.updates) {
-    cost += group->StageUpdate(std::move(u), req.now_s);
+  for (FileUpdate& u : section.updates) {
+    cost += group->StageUpdate(std::move(u), now_s);
   }
   span.Advance(cost);
-  if (req.replica_role == kReplicaRoleNone) {
-    return Response{Status::Ok(), {}, cost};
+  if (section.replica_role == kReplicaRoleNone) return cost;
+  MutexLock rlock(replica_mu_);
+  uint64_t& applied = applied_seq_[section.group];
+  if (secondary) {
+    applied += count;
+    acked_seq = applied;
+  } else {
+    applied = std::max(applied, acked_seq);
   }
-  {
-    MutexLock rlock(replica_mu_);
-    uint64_t& applied = applied_seq_[req.group];
-    if (secondary) {
-      applied += count;
-      acked_seq = applied;
-    } else {
-      applied = std::max(applied, acked_seq);
-    }
-  }
-  StageUpdatesResponse resp;
-  resp.seq = acked_seq;
-  return Response{Status::Ok(), Encode(resp), cost};
+  result->seq = acked_seq;
+  return cost;
 }
 
 net::RpcHandler::Response IndexNode::HandleSearch(const std::string& payload) {

@@ -145,6 +145,11 @@ class IndexNode : public net::RpcHandler {
   // admission queue has decided the request runs at all.  Both take the
   // decoded request by reference (updates are consumed by staging).
   Response StageUpdatesAdmitted(StageUpdatesRequest& req);
+  // Stages one section of a stage message (journal append, staging and its
+  // wal.append span) and fills its result; returns the section's cost.
+  sim::Cost StageSectionLocked(StageSection& section, double now_s,
+                               StageUpdatesResponse::SectionResult* result)
+      REQUIRES_SHARED(groups_mu_);
   Response SearchAdmitted(SearchRequest& req);
   Response HandleTick(const std::string& payload);
   Response HandleMigrateOut(const std::string& payload);

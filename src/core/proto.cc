@@ -126,6 +126,32 @@ Status GetTrailingArrival(BinaryReader& r, double& arrival_s) {
   return r.GetDouble(arrival_s);
 }
 
+// Smallest encodings of the stage message's repeated parts: a section
+// header (group, epoch, role, update count), a FileUpdate (file, delete
+// flag, empty attribute count) and a section result (code, seq).
+constexpr size_t kMinStageSectionBytes = 8 + 8 + 1 + 4;
+constexpr size_t kMinFileUpdateBytes = 8 + 1 + 4;
+constexpr size_t kStageResultBytes = 1 + 8;
+
+// Reads an element count and rejects one the remaining input cannot hold
+// (every element takes at least `min_bytes`), so a corrupt count never
+// sizes an allocation.
+Status GetCount(BinaryReader& r, size_t min_bytes, uint32_t& n) {
+  PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
+  if (n > r.Remaining() / min_bytes) {
+    return Status::Corruption("element count exceeds input");
+  }
+  return Status::Ok();
+}
+
+Status CheckStatusCode(uint8_t raw, StatusCode& code) {
+  if (raw > static_cast<uint8_t>(StatusCode::kOverloaded)) {
+    return Status::Corruption("unknown status code");
+  }
+  code = static_cast<StatusCode>(raw);
+  return Status::Ok();
+}
+
 }  // namespace
 
 void ResolveUpdateRequest::Serialize(BinaryWriter& w) const {
@@ -359,51 +385,70 @@ Status CreateGroupRequest::Deserialize(BinaryReader& r, CreateGroupRequest& out)
 }
 
 void StageUpdatesRequest::Serialize(BinaryWriter& w) const {
-  // Hot path: one message per update batch.  Pre-size for the typical
-  // serialized FileUpdate (~96 bytes of path + attributes) so the encode
-  // does not reallocate repeatedly.
-  w.Reserve(20 + updates.size() * 96);
-  w.PutU64(group);
+  // Hot path: one message per destination node per batch.  Pre-size for
+  // the typical serialized FileUpdate (~96 bytes of path + attributes) so
+  // the encode does not reallocate repeatedly.
+  size_t rows = 0;
+  for (const StageSection& s : sections) rows += s.updates.size();
+  w.Reserve(13 + sections.size() * kMinStageSectionBytes + rows * 96);
   w.PutDouble(now_s);
-  w.PutU32(static_cast<uint32_t>(updates.size()));
-  for (const FileUpdate& u : updates) u.Serialize(w);
-  if (admission != 0) {
-    // Admission implies role and epoch are present (values may be 0).
-    w.PutU64(epoch);
-    w.PutU8(replica_role);
-    w.PutU8(admission);
-  } else if (replica_role != kReplicaRoleNone) {
-    // Role implies the epoch field is present (its value may be 0).
-    w.PutU64(epoch);
-    w.PutU8(replica_role);
-  } else {
-    PutTrailingEpoch(w, epoch);
+  w.PutU8(admission);
+  w.PutU32(static_cast<uint32_t>(sections.size()));
+  for (const StageSection& s : sections) {
+    w.PutU64(s.group);
+    w.PutU64(s.epoch);
+    w.PutU8(s.replica_role);
+    w.PutU32(static_cast<uint32_t>(s.updates.size()));
+    for (const FileUpdate& u : s.updates) u.Serialize(w);
   }
 }
 Status StageUpdatesRequest::Deserialize(BinaryReader& r, StageUpdatesRequest& out) {
-  PROPELLER_RETURN_IF_ERROR(r.GetU64(out.group));
   PROPELLER_RETURN_IF_ERROR(r.GetDouble(out.now_s));
+  PROPELLER_RETURN_IF_ERROR(r.GetU8(out.admission));
   uint32_t n = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
-  out.updates.clear();
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, kMinStageSectionBytes, n));
+  out.sections.clear();
+  out.sections.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    FileUpdate u;
-    PROPELLER_RETURN_IF_ERROR(FileUpdate::Deserialize(r, u));
-    out.updates.push_back(std::move(u));
+    StageSection s;
+    PROPELLER_RETURN_IF_ERROR(r.GetU64(s.group));
+    PROPELLER_RETURN_IF_ERROR(r.GetU64(s.epoch));
+    PROPELLER_RETURN_IF_ERROR(r.GetU8(s.replica_role));
+    uint32_t nu = 0;
+    PROPELLER_RETURN_IF_ERROR(GetCount(r, kMinFileUpdateBytes, nu));
+    s.updates.reserve(nu);
+    for (uint32_t j = 0; j < nu; ++j) {
+      FileUpdate u;
+      PROPELLER_RETURN_IF_ERROR(FileUpdate::Deserialize(r, u));
+      s.updates.push_back(std::move(u));
+    }
+    out.sections.push_back(std::move(s));
   }
-  PROPELLER_RETURN_IF_ERROR(GetTrailingEpoch(r, out.epoch));
-  out.replica_role = kReplicaRoleNone;
-  out.admission = 0;
-  if (r.AtEnd()) return Status::Ok();
-  PROPELLER_RETURN_IF_ERROR(r.GetU8(out.replica_role));
-  if (r.AtEnd()) return Status::Ok();
-  return r.GetU8(out.admission);
+  return Status::Ok();
 }
 
-void StageUpdatesResponse::Serialize(BinaryWriter& w) const { w.PutU64(seq); }
+void StageUpdatesResponse::Serialize(BinaryWriter& w) const {
+  w.PutU32(static_cast<uint32_t>(sections.size()));
+  for (const SectionResult& s : sections) {
+    w.PutU8(static_cast<uint8_t>(s.code));
+    w.PutU64(s.seq);
+  }
+}
 Status StageUpdatesResponse::Deserialize(BinaryReader& r,
                                          StageUpdatesResponse& out) {
-  return r.GetU64(out.seq);
+  uint32_t n = 0;
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, kStageResultBytes, n));
+  out.sections.clear();
+  out.sections.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    SectionResult s;
+    uint8_t code = 0;
+    PROPELLER_RETURN_IF_ERROR(r.GetU8(code));
+    PROPELLER_RETURN_IF_ERROR(CheckStatusCode(code, s.code));
+    PROPELLER_RETURN_IF_ERROR(r.GetU64(s.seq));
+    out.sections.push_back(s);
+  }
+  return Status::Ok();
 }
 
 void SearchRequest::Serialize(BinaryWriter& w) const {

@@ -37,10 +37,11 @@ using net::NodeId;
 // Resolve responses carry it so clients can cache placements keyed by
 // epoch, and the cached epoch rides on in.search / in.stage_updates so an
 // Index Node can reject requests for groups it no longer owns with
-// kStaleLocation.  Epoch 0 means "not in use": it is encoded as *absent*
-// (a trailing field written only when non-zero), keeping the wire bytes —
-// and therefore the simulated transfer costs — bit-identical to the
-// pre-caching protocol whenever the feature is off.
+// kStaleLocation.  Epoch 0 means "not in use": on resolve responses and
+// in.search it is encoded as *absent* (a trailing field written only when
+// non-zero), keeping those wire bytes — and therefore the simulated
+// transfer costs — bit-identical to the pre-caching protocol whenever the
+// feature is off.  A stage section's epoch is a fixed field (0 = unused).
 
 // ---- replica convention (group replication) ----
 // With ClusterConfig::replication_factor > 1 every group lives on r
@@ -213,41 +214,52 @@ struct CreateGroupRequest {
 };
 
 // ---- in.stage_updates ----
-// Replica roles (StageUpdatesRequest::replica_role).  kNone keeps the
-// legacy contract: the node appends to the journal iff one is attached and
-// the response payload is empty.  Under replication the client fans one
-// shipment per replica: the primary appends to the journal and acks the
-// assigned commit seq; secondaries stage only (the primary's append is the
-// single durable copy) and track their own applied count.
+// One message carries a batch's index updates for one destination node:
+// one section per group the node holds a replica of, staged in order
+// under one admission reservation.  A node with more than
+// ClientConfig::update_batch updates gets several messages, sent in order
+// (a group's sections may span messages; same-file updates stay ordered).
+//
+// Replica roles (StageSection::replica_role).  kNone: the node appends to
+// the journal iff one is attached.  Under replication one node's message
+// mixes roles: the primary appends to the journal and acks the assigned
+// commit seq; a secondary stages only (the primary's append is the single
+// durable copy) and acks its own applied count.
 inline constexpr uint8_t kReplicaRoleNone = 0;
 inline constexpr uint8_t kReplicaRolePrimary = 1;
 inline constexpr uint8_t kReplicaRoleSecondary = 2;
 
-struct StageUpdatesRequest {
+struct StageSection {
   GroupId group = 0;
-  double now_s = 0;  // cluster virtual time, drives the commit timeout
-  std::vector<FileUpdate> updates;
   // Epoch the client's placement for `group` was resolved at; > 0 asks the
   // node to answer kStaleLocation (instead of kNotFound) when the group
   // has moved away, triggering the client's re-resolve + retry.
   uint64_t epoch = 0;
-  // Trailing-optional (absent when kReplicaRoleNone, so unreplicated wire
-  // bytes are unchanged); when written, the epoch field is always written
-  // first.
   uint8_t replica_role = kReplicaRoleNone;
-  // Trailing-optional admission flag (open-loop traffic): non-zero asks
-  // the node to run this batch through its bounded admission queue at
-  // virtual time `now_s` (kOverloaded on overflow, before any staging).
-  // Absent when 0 — unstamped wire bytes are unchanged; when written, the
-  // epoch and replica_role fields are always written first.
+  std::vector<FileUpdate> updates;
+};
+
+struct StageUpdatesRequest {
+  double now_s = 0;  // cluster virtual time, drives the commit timeout
+  // Non-zero asks the node to run the whole message through its bounded
+  // admission queue at virtual time `now_s` (kOverloaded on overflow,
+  // before any section is staged).
   uint8_t admission = 0;
+  std::vector<StageSection> sections;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, StageUpdatesRequest& out);
 };
-// Response payload only under replication (legacy responses stay empty):
-// the replica's applied commit sequence after this batch.
+// The message fails as a whole (RPC status) only on a decode error or an
+// admission shed; every other outcome is reported here, one result per
+// request section, in request order.
 struct StageUpdatesResponse {
-  uint64_t seq = 0;
+  struct SectionResult {
+    StatusCode code = StatusCode::kOk;
+    // The replica's applied commit sequence after this section (0 for
+    // kReplicaRoleNone and for failed sections).
+    uint64_t seq = 0;
+  };
+  std::vector<SectionResult> sections;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, StageUpdatesResponse& out);
 };

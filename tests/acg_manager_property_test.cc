@@ -130,19 +130,81 @@ namespace {
 // error (or to a *valid* alternative message), never crash.
 TEST(ProtoFuzzTest, TruncationsNeverCrash) {
   StageUpdatesRequest req;
-  req.group = 42;
   req.now_s = 1.5;
-  for (FileId f = 1; f <= 5; ++f) {
-    FileUpdate u;
-    u.file = f;
-    u.attrs.Set("size", index::AttrValue(int64_t{100}));
-    u.attrs.Set("path", index::AttrValue("/a/b/c"));
-    req.updates.push_back(std::move(u));
+  req.admission = 1;
+  for (GroupId g = 42; g < 45; ++g) {
+    StageSection section;
+    section.group = g;
+    section.epoch = g - 40;
+    section.replica_role =
+        g == 43 ? kReplicaRoleSecondary : kReplicaRolePrimary;
+    for (FileId f = 1; f <= 5; ++f) {
+      FileUpdate u;
+      u.file = g * 100 + f;
+      u.attrs.Set("size", index::AttrValue(int64_t{100}));
+      u.attrs.Set("path", index::AttrValue("/a/b/c"));
+      section.updates.push_back(std::move(u));
+    }
+    req.sections.push_back(std::move(section));
   }
   std::string payload = Encode(req);
+  ASSERT_TRUE(Decode<StageUpdatesRequest>(payload).ok());
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     auto r = Decode<StageUpdatesRequest>(payload.substr(0, cut));
     EXPECT_FALSE(r.ok()) << "truncation at " << cut << " decoded";
+  }
+
+  StageUpdatesResponse resp;
+  resp.sections = {{StatusCode::kOk, 7},
+                   {StatusCode::kStaleLocation, 0},
+                   {StatusCode::kOk, 9}};
+  payload = Encode(resp);
+  ASSERT_TRUE(Decode<StageUpdatesResponse>(payload).ok());
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    auto r = Decode<StageUpdatesResponse>(payload.substr(0, cut));
+    EXPECT_FALSE(r.ok()) << "truncation at " << cut << " decoded";
+  }
+}
+
+// A count the remaining bytes cannot hold is rejected before anything is
+// sized by it: a claimed 2^32-1 elements would otherwise ask the allocator
+// for hundreds of gigabytes.
+TEST(ProtoFuzzTest, OversizedCountsAreRejectedBeforeAllocating) {
+  constexpr uint32_t kHuge = 0xffffffffu;
+  {
+    BinaryWriter w;
+    w.PutDouble(1.0);
+    w.PutU8(0);
+    w.PutU32(kHuge);  // sections
+    w.PutU64(1);
+    EXPECT_FALSE(Decode<StageUpdatesRequest>(w.data()).ok());
+  }
+  {
+    BinaryWriter w;
+    w.PutDouble(1.0);
+    w.PutU8(0);
+    w.PutU32(1);  // one section ...
+    w.PutU64(5);
+    w.PutU64(0);
+    w.PutU8(kReplicaRoleNone);
+    w.PutU32(kHuge);  // ... claiming 2^32-1 updates
+    w.PutU64(1);
+    EXPECT_FALSE(Decode<StageUpdatesRequest>(w.data()).ok());
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(kHuge);  // section results
+    w.PutU8(0);
+    w.PutU64(1);
+    EXPECT_FALSE(Decode<StageUpdatesResponse>(w.data()).ok());
+  }
+  {
+    // The exact bound still decodes: two empty sections in 42 bytes.
+    StageUpdatesRequest req;
+    req.sections.resize(2);
+    auto out = Decode<StageUpdatesRequest>(Encode(req));
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->sections.size(), 2u);
   }
 }
 

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <set>
 
 #include "core/cluster.h"
 #include "trace/trace_gen.h"
@@ -398,6 +401,289 @@ TEST_F(ClusterTest, EndToEndTraceWorkflow) {
   const auto& mgr = cluster_.master().acg_manager();
   EXPECT_GT(mgr.IntraGroupWeight(), 0u);
   EXPECT_LT(mgr.CrossGroupWeight(), mgr.IntraGroupWeight() / 5);
+}
+
+// --- stage messages: one per destination node ------------------------------
+
+// Sits in front of every Index Node of a cluster and records each stage
+// message a node receives (in arrival order) before forwarding it; restores
+// the real handlers when destroyed.
+class StageTap {
+ public:
+  explicit StageTap(PropellerCluster* cluster) : cluster_(cluster) {
+    for (size_t i = 0; i < cluster->num_index_nodes(); ++i) {
+      taps_.push_back(std::make_unique<Tap>(&cluster->index_node(i), this));
+      cluster->transport().Register(cluster->index_node(i).id(),
+                                    taps_.back().get());
+    }
+  }
+  ~StageTap() {
+    for (size_t i = 0; i < cluster_->num_index_nodes(); ++i) {
+      cluster_->transport().Register(cluster_->index_node(i).id(),
+                                     &cluster_->index_node(i));
+    }
+  }
+
+  // Messages received per node, in order.
+  std::map<NodeId, std::vector<StageUpdatesRequest>> messages;
+
+  size_t Total() const {
+    size_t n = 0;
+    for (const auto& [node, msgs] : messages) n += msgs.size();
+    return n;
+  }
+  // Group of every file a recorded section carried.
+  std::map<FileId, GroupId> GroupOfFile() const {
+    std::map<FileId, GroupId> out;
+    for (const auto& [node, msgs] : messages) {
+      for (const StageUpdatesRequest& m : msgs) {
+        for (const StageSection& s : m.sections) {
+          for (const FileUpdate& u : s.updates) out[u.file] = s.group;
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Tap : net::RpcHandler {
+    Tap(IndexNode* node, StageTap* owner) : node(node), owner(owner) {}
+    Response Handle(const std::string& method,
+                    const std::string& payload) override {
+      if (method == "in.stage_updates") {
+        auto req = Decode<StageUpdatesRequest>(payload);
+        EXPECT_TRUE(req.ok());
+        if (req.ok()) owner->messages[node->id()].push_back(std::move(*req));
+      }
+      return node->Handle(method, payload);
+    }
+    IndexNode* node;
+    StageTap* owner;
+  };
+  PropellerCluster* cluster_;
+  std::vector<std::unique_ptr<Tap>> taps_;
+};
+
+std::vector<FileUpdate> Wave(FileId files, int64_t size_base) {
+  std::vector<FileUpdate> updates;
+  for (FileId f = 1; f <= files; ++f) {
+    updates.push_back(Upsert(f, size_base + static_cast<int64_t>(f),
+                             static_cast<int64_t>(f % 7), "/d/f"));
+  }
+  return updates;
+}
+
+TEST_F(ClusterTest, BatchSendsOneStageMessagePerNode) {
+  ASSERT_TRUE(cluster_.client().CreateIndex(SizeIndex()).ok());
+  ASSERT_TRUE(
+      cluster_.client().BatchUpdate(Wave(100, 0), cluster_.now()).ok());
+
+  // Every file is placed now: re-touching all of them spans every group
+  // (about ten, on all four nodes) with at most update_batch rows per node.
+  StageTap tap(&cluster_);
+  ASSERT_TRUE(
+      cluster_.client().BatchUpdate(Wave(100, 1000), cluster_.now()).ok());
+  ASSERT_EQ(tap.messages.size(), cluster_.num_index_nodes());
+  std::set<GroupId> groups;
+  for (const auto& [node, msgs] : tap.messages) {
+    ASSERT_EQ(msgs.size(), 1u) << "node " << node;
+    GroupId last = 0;
+    for (const StageSection& s : msgs[0].sections) {
+      EXPECT_GT(s.group, last) << "sections are in group order, one per group";
+      last = s.group;
+      EXPECT_TRUE(groups.insert(s.group).second) << "group on two nodes";
+      EXPECT_FALSE(s.updates.empty());
+    }
+  }
+  EXPECT_GT(groups.size(), tap.messages.size()) << "several groups per node";
+}
+
+TEST_F(ClusterTest, NodeShareBeyondUpdateBatchIsChunkedInOrder) {
+  ClusterConfig cfg = SmallConfig();
+  cfg.client.update_batch = 8;
+  PropellerCluster cluster(cfg);
+  ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
+  ASSERT_TRUE(cluster.client().BatchUpdate(Wave(100, 0), cluster.now()).ok());
+
+  StageTap tap(&cluster);
+  std::vector<FileUpdate> wave = Wave(100, 1000);
+  // A file updated twice in one batch: the later update must stage last.
+  wave.push_back(Upsert(1, 5000, 0, "/d/f"));
+  ASSERT_TRUE(cluster.client().BatchUpdate(wave, cluster.now()).ok());
+  const std::map<FileId, GroupId> group_of = tap.GroupOfFile();
+  size_t rows_total = 0;
+  for (const auto& [node, msgs] : tap.messages) {
+    size_t rows = 0;
+    std::map<GroupId, std::vector<FileId>> staged;  // per group, in order
+    for (const StageUpdatesRequest& m : msgs) {
+      size_t in_msg = 0;
+      for (const StageSection& s : m.sections) {
+        for (const FileUpdate& u : s.updates) {
+          staged[s.group].push_back(u.file);
+          ++in_msg;
+        }
+      }
+      EXPECT_LE(in_msg, cfg.client.update_batch);
+      rows += in_msg;
+    }
+    EXPECT_EQ(msgs.size(),
+              (rows + cfg.client.update_batch - 1) / cfg.client.update_batch)
+        << "node " << node;
+    // Each group's updates arrive in batch order across the messages.
+    for (const auto& [g, files] : staged) {
+      std::vector<FileId> want;
+      for (const FileUpdate& u : wave) {
+        if (group_of.at(u.file) == g) want.push_back(u.file);
+      }
+      EXPECT_EQ(files, want) << "group " << g;
+    }
+    rows_total += rows;
+  }
+  EXPECT_EQ(rows_total, wave.size());
+
+  Predicate p;
+  p.And("size", CmpOp::kEq, AttrValue(int64_t{5000}));
+  auto r = cluster.client().Search(p, "by_size");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->files, (std::vector<FileId>{1}));
+}
+
+TEST_F(ClusterTest, SectionedStagingMatchesOneGroupAtATime) {
+  auto run = [](bool per_group) {
+    PropellerCluster cluster(SmallConfig());
+    EXPECT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
+    std::map<FileId, GroupId> group_of;
+    {
+      StageTap tap(&cluster);
+      EXPECT_TRUE(cluster.client().BatchUpdate(Wave(100, 0), cluster.now()).ok());
+      group_of = tap.GroupOfFile();
+    }
+    std::vector<FileUpdate> wave = Wave(100, 1000);
+    for (FileId f = 1; f <= 100; f += 3) wave.push_back(Upsert(f, 7, 1, "/d/g"));
+    if (per_group) {
+      std::map<GroupId, std::vector<FileUpdate>> by_group;
+      for (FileUpdate& u : wave) by_group[group_of.at(u.file)].push_back(u);
+      for (auto& [g, updates] : by_group) {
+        EXPECT_TRUE(
+            cluster.client().BatchUpdate(std::move(updates), cluster.now()).ok());
+      }
+    } else {
+      EXPECT_TRUE(cluster.client().BatchUpdate(wave, cluster.now()).ok());
+    }
+    std::vector<std::vector<FileId>> results;
+    for (int64_t lo : {0, 8, 1040, 1090}) {
+      Predicate p;
+      p.And("size", CmpOp::kGt, AttrValue(lo));
+      auto r = cluster.client().Search(p, "by_size");
+      EXPECT_TRUE(r.ok());
+      results.push_back(r.ok() ? r->files : std::vector<FileId>{});
+    }
+    return results;
+  };
+  const auto sectioned = run(false);
+  EXPECT_EQ(sectioned, run(true));
+  EXPECT_EQ(sectioned[1].size(), 100u - 34u);
+}
+
+TEST_F(ClusterTest, MissingGroupFailsOnlyItsOwnSection) {
+  ASSERT_TRUE(cluster_.client().CreateIndex(SizeIndex()).ok());
+  std::map<FileId, GroupId> group_of;
+  {
+    StageTap tap(&cluster_);
+    ASSERT_TRUE(
+        cluster_.client().BatchUpdate(Wave(100, 0), cluster_.now()).ok());
+    group_of = tap.GroupOfFile();
+  }
+  // Take one group away from its node behind the master's back; the node
+  // keeps its other groups.
+  size_t victim = cluster_.num_index_nodes();
+  for (size_t i = 0; i < cluster_.num_index_nodes(); ++i) {
+    if (cluster_.index_node(i).NumGroups() >= 2) victim = i;
+  }
+  ASSERT_LT(victim, cluster_.num_index_nodes());
+  IndexNode& node = cluster_.index_node(victim);
+  const GroupId lost = node.GroupStats().front().group;
+  DropGroupRequest drop;
+  drop.group = lost;
+  ASSERT_TRUE(node.Handle("in.drop_group", Encode(drop)).status.ok());
+
+  auto up = cluster_.client().BatchUpdate(Wave(100, 1000), cluster_.now());
+  ASSERT_FALSE(up.ok());
+  EXPECT_EQ(up.status().code(), StatusCode::kNotFound);
+  const std::string msg = up.status().message();
+  const std::string pair = "node " + std::to_string(node.id()) + " group " +
+                           std::to_string(lost) + ":";
+  EXPECT_NE(msg.find(pair), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("; "), std::string::npos)
+      << "exactly one (node, group) failed: " << msg;
+
+  // Every other group — on the same node too — landed.
+  Predicate p;
+  p.And("size", CmpOp::kGt, AttrValue(int64_t{1000}));
+  auto r = cluster_.client().Search(p, "by_size");
+  ASSERT_TRUE(r.ok());
+  size_t lost_files = 0;
+  for (const auto& [f, g] : group_of) lost_files += g == lost ? 1 : 0;
+  ASSERT_GT(lost_files, 0u);
+  EXPECT_EQ(r->files.size(), 100u - lost_files);
+  for (FileId f : r->files) EXPECT_NE(group_of.at(f), lost);
+}
+
+TEST_F(ClusterTest, ReplicatedBatchReachesQuorumPerGroup) {
+  ClusterConfig cfg = SmallConfig();
+  cfg.replication_factor = 3;
+  cfg.recovery_journal = true;
+  PropellerCluster cluster(cfg);
+  ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
+  ASSERT_TRUE(cluster.client().BatchUpdate(Wave(100, 0), cluster.now()).ok());
+
+  // One message per node, mixing the node's primary and secondary sections.
+  std::map<GroupId, std::vector<NodeId>> replicas;
+  {
+    StageTap tap(&cluster);
+    ASSERT_TRUE(
+        cluster.client().BatchUpdate(Wave(100, 1000), cluster.now()).ok());
+    bool mixed = false;
+    for (const auto& [node, msgs] : tap.messages) {
+      ASSERT_EQ(msgs.size(), 1u) << "node " << node;
+      std::set<uint8_t> roles;
+      for (const StageSection& s : msgs[0].sections) {
+        roles.insert(s.replica_role);
+        if (replicas.count(s.group) == 0u) {
+          replicas[s.group] = cluster.master().ReplicasOfGroup(s.group);
+        }
+        const auto& set = replicas[s.group];
+        ASSERT_EQ(set.size(), 3u);
+        EXPECT_EQ(s.replica_role == kReplicaRolePrimary, set[0] == node);
+      }
+      mixed = mixed || roles.size() == 2u;
+    }
+    EXPECT_TRUE(mixed);
+  }
+
+  // One node silently down (the master does not know): a group it is a
+  // secondary of still has primary + one secondary = quorum; a group it is
+  // the primary of cannot land.  The verdict is per group.
+  const NodeId down = cluster.index_node(0).id();
+  cluster.transport().SetNodeDown(down, true);
+  auto up = cluster.client().BatchUpdate(Wave(100, 2000), cluster.now());
+  cluster.transport().SetNodeDown(down, false);
+  std::set<GroupId> primary_on_down;
+  for (const auto& [g, set] : replicas) {
+    if (set[0] == down) primary_on_down.insert(g);
+  }
+  ASSERT_FALSE(primary_on_down.empty());
+  ASSERT_LT(primary_on_down.size(), replicas.size());
+  ASSERT_FALSE(up.ok());
+  const std::string msg = up.status().message();
+  for (const auto& [g, set] : replicas) {
+    const std::string pair = "node " + std::to_string(set[0]) + " group " +
+                             std::to_string(g) + ":";
+    EXPECT_EQ(msg.find(pair) != std::string::npos,
+              primary_on_down.count(g) != 0u)
+        << "group " << g << ": " << msg;
+  }
+  EXPECT_EQ(msg.find("quorum"), std::string::npos) << msg;
 }
 
 }  // namespace

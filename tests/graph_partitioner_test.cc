@@ -100,6 +100,12 @@ struct RandomGraphParam {
   uint64_t seed;
 };
 
+// gtest (and CTest's test discovery) names each case by this print; without
+// it the name would be the struct's raw bytes, padding included.
+void PrintTo(const RandomGraphParam& p, std::ostream* os) {
+  *os << "n" << p.n << "_e" << p.edges << "_s" << p.seed;
+}
+
 class BisectPropertyTest : public ::testing::TestWithParam<RandomGraphParam> {};
 
 // Property sweep: on arbitrary random graphs the bisection must (a) cover

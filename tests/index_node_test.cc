@@ -34,12 +34,27 @@ class IndexNodeTest : public ::testing::Test {
     ASSERT_TRUE(Call("in.create_group", Encode(req)).status.ok());
   }
 
-  void Stage(GroupId g, std::vector<FileUpdate> updates, double now = 0) {
+  // Sends one stage message and returns its per-section results.
+  std::vector<StageUpdatesResponse::SectionResult> StageSections(
+      std::vector<StageSection> sections, double now = 0) {
     StageUpdatesRequest req;
-    req.group = g;
     req.now_s = now;
-    req.updates = std::move(updates);
-    ASSERT_TRUE(Call("in.stage_updates", Encode(req)).status.ok());
+    req.sections = std::move(sections);
+    auto resp = Call("in.stage_updates", Encode(req));
+    EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
+    auto decoded = Decode<StageUpdatesResponse>(resp.payload);
+    EXPECT_TRUE(decoded.ok());
+    return decoded.ok() ? decoded->sections
+                        : std::vector<StageUpdatesResponse::SectionResult>{};
+  }
+
+  void Stage(GroupId g, std::vector<FileUpdate> updates, double now = 0) {
+    StageSection section;
+    section.group = g;
+    section.updates = std::move(updates);
+    auto results = StageSections({std::move(section)}, now);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_EQ(results[0].code, StatusCode::kOk);
   }
 
   std::vector<FileId> Search(std::vector<GroupId> groups, int64_t min_size) {
@@ -65,11 +80,79 @@ TEST_F(IndexNodeTest, CreateGroupIsIdempotentForSpecs) {
 }
 
 TEST_F(IndexNodeTest, StageToUnknownGroupFails) {
-  StageUpdatesRequest req;
-  req.group = 99;
-  req.updates.push_back(Upsert(1, 10));
-  EXPECT_EQ(Call("in.stage_updates", Encode(req)).status.code(),
-            StatusCode::kNotFound);
+  StageSection section;
+  section.group = 99;
+  section.updates.push_back(Upsert(1, 10));
+  auto results = StageSections({std::move(section)});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].code, StatusCode::kNotFound);
+}
+
+TEST_F(IndexNodeTest, UnknownSectionDoesNotBlockTheOthers) {
+  CreateGroup(1);
+  CreateGroup(3);
+  std::vector<StageSection> sections(3);
+  sections[0].group = 1;
+  sections[0].updates = {Upsert(1, 100)};
+  sections[1].group = 2;  // not on this node
+  sections[1].epoch = 7;  // stamped: a cached route went stale
+  sections[1].updates = {Upsert(2, 100)};
+  sections[2].group = 3;
+  sections[2].updates = {Upsert(3, 100), Upsert(4, 1)};
+  auto results = StageSections(std::move(sections));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].code, StatusCode::kOk);
+  EXPECT_EQ(results[1].code, StatusCode::kStaleLocation);
+  EXPECT_EQ(results[2].code, StatusCode::kOk);
+  EXPECT_EQ(Search({1, 3}, 50), (std::vector<FileId>{1, 3}));
+}
+
+TEST_F(IndexNodeTest, OneMessageEqualsOneSectionPerMessage) {
+  // Staging three groups' updates in one sectioned message leaves the node
+  // exactly as one message per group would, and costs the same handler work.
+  IndexNode batched(20), single(21);
+  std::vector<StageSection> sections;
+  for (GroupId g = 1; g <= 3; ++g) {
+    CreateGroupRequest creq;
+    creq.group = g;
+    creq.specs = {{"by_size", index::IndexType::kBTree, {"size"}}};
+    ASSERT_TRUE(batched.Handle("in.create_group", Encode(creq)).status.ok());
+    ASSERT_TRUE(single.Handle("in.create_group", Encode(creq)).status.ok());
+    StageSection section;
+    section.group = g;
+    for (FileId f = 0; f < 10; ++f) {
+      section.updates.push_back(
+          Upsert(g * 100 + f, static_cast<int64_t>(g * 10 + f)));
+    }
+    sections.push_back(std::move(section));
+  }
+  double single_cost = 0;
+  for (const StageSection& section : sections) {
+    StageUpdatesRequest one;
+    one.sections = {section};
+    auto resp = single.Handle("in.stage_updates", Encode(one));
+    ASSERT_TRUE(resp.status.ok());
+    single_cost += resp.cost.seconds();
+  }
+  StageUpdatesRequest all;
+  all.sections = std::move(sections);
+  auto resp = batched.Handle("in.stage_updates", Encode(all));
+  ASSERT_TRUE(resp.status.ok());
+  EXPECT_DOUBLE_EQ(resp.cost.seconds(), single_cost);
+  for (GroupId g = 1; g <= 3; ++g) {
+    EXPECT_EQ(batched.FindGroup(g)->PendingUpdates(), 10u);
+  }
+  SearchRequest req;
+  req.groups = {1, 2, 3};
+  req.predicate.And("size", CmpOp::kGt, AttrValue(int64_t{15}));
+  auto a = Decode<SearchResponse>(batched.Handle("in.search", Encode(req)).payload);
+  auto b = Decode<SearchResponse>(single.Handle("in.search", Encode(req)).payload);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  std::sort(a->files.begin(), a->files.end());
+  std::sort(b->files.begin(), b->files.end());
+  EXPECT_EQ(a->files, b->files);
+  EXPECT_EQ(a->files.size(), 24u);
 }
 
 TEST_F(IndexNodeTest, SearchCommitsStagedUpdates) {
@@ -219,9 +302,11 @@ TEST_F(IndexNodeTest, SearchMakespanUsesWorkerPool) {
       creq.specs = {{"by_size", index::IndexType::kBTree, {"size"}}};
       ASSERT_TRUE(node->Handle("in.create_group", Encode(creq)).status.ok());
       StageUpdatesRequest sreq;
-      sreq.group = g;
+      sreq.sections.resize(1);
+      sreq.sections[0].group = g;
       for (FileId f = 0; f < 50; ++f) {
-        sreq.updates.push_back(Upsert(g * 1000 + f, static_cast<int64_t>(f)));
+        sreq.sections[0].updates.push_back(
+            Upsert(g * 1000 + f, static_cast<int64_t>(f)));
       }
       ASSERT_TRUE(node->Handle("in.stage_updates", Encode(sreq)).status.ok());
     }

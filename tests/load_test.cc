@@ -176,36 +176,31 @@ TEST(ProtoTest, SearchRequestArrivalStampRoundTrips) {
 
 TEST(ProtoTest, StageUpdatesAdmissionFlagRoundTrips) {
   core::StageUpdatesRequest req;
-  req.group = 5;
   req.now_s = 1.5;
+  req.sections.resize(1);
+  req.sections[0].group = 5;
   core::FileUpdate u;
   u.file = 99;
   u.attrs.Set("size", AttrValue(int64_t{7}));
-  req.updates.push_back(u);
+  req.sections[0].updates.push_back(u);
   req.admission = 1;
   auto out = core::Decode<core::StageUpdatesRequest>(core::Encode(req));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->admission, 1);
-  EXPECT_EQ(out->replica_role, core::kReplicaRoleNone);
+  ASSERT_EQ(out->sections.size(), 1u);
+  EXPECT_EQ(out->sections[0].replica_role, core::kReplicaRoleNone);
 
   // Admission composes with a replica role.
-  req.replica_role = core::kReplicaRolePrimary;
-  req.epoch = 8;
+  req.sections[0].replica_role = core::kReplicaRolePrimary;
+  req.sections[0].epoch = 8;
   out = core::Decode<core::StageUpdatesRequest>(core::Encode(req));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->admission, 1);
-  EXPECT_EQ(out->replica_role, core::kReplicaRolePrimary);
-  EXPECT_EQ(out->epoch, 8u);
+  ASSERT_EQ(out->sections.size(), 1u);
+  EXPECT_EQ(out->sections[0].replica_role, core::kReplicaRolePrimary);
+  EXPECT_EQ(out->sections[0].epoch, 8u);
 
-  // Unflagged stays the legacy encoding.
   req.admission = 0;
-  req.replica_role = core::kReplicaRoleNone;
-  req.epoch = 0;
-  core::StageUpdatesRequest legacy;
-  legacy.group = 5;
-  legacy.now_s = 1.5;
-  legacy.updates.push_back(u);
-  EXPECT_EQ(core::Encode(req), core::Encode(legacy));
   out = core::Decode<core::StageUpdatesRequest>(core::Encode(req));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->admission, 0);

@@ -332,5 +332,99 @@ TEST(ObsTraceTest, CommitSpansTagPagesAndAllocations) {
   }
 }
 
+// A batch update explains its whole cost: each node gets one stage message
+// whose server span holds one wal.append per group, laid end to end, and
+// the client root's critical path reaches back to its start with no time
+// left unattributed.
+TEST(ObsTraceTest, BatchUpdateCostReconcilesWithItsCriticalPath) {
+  ClusterConfig cfg;
+  cfg.index_nodes = 2;
+  cfg.tracing = true;
+  cfg.master.acg_policy.cluster_target = 8;
+  cfg.master.acg_policy.split_threshold = 1000;
+  cfg.master.acg_policy.merge_limit = 1000;
+  PropellerCluster cluster(cfg);
+  ASSERT_TRUE(cluster.client()
+                  .CreateIndex({"by_size", index::IndexType::kBTree, {"size"}})
+                  .ok());
+  auto batch = [](int64_t version) {
+    std::vector<FileUpdate> updates;
+    for (uint64_t f = 1; f <= 64; ++f) {
+      FileUpdate u;
+      u.file = f;
+      u.attrs.Set("size", AttrValue(static_cast<int64_t>(f * 1000) + version));
+      updates.push_back(std::move(u));
+    }
+    return updates;
+  };
+  ASSERT_TRUE(cluster.client().BatchUpdate(batch(1), cluster.now()).ok());
+  cluster.tracer().Clear();
+  auto cost = cluster.client().BatchUpdate(batch(2), cluster.now());
+  ASSERT_TRUE(cost.ok());
+  const std::vector<obs::Span> spans = cluster.tracer().Spans();
+
+  const obs::Span* root = nullptr;
+  for (const obs::Span& s : spans) {
+    if (s.parent_id == 0) {
+      ASSERT_EQ(root, nullptr) << "one trace root";
+      root = &s;
+    }
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->name, "client.batch_update");
+  const double eps = 1e-12;
+  EXPECT_NEAR(root->end_s - root->start_s, cost->seconds(), eps);
+
+  // Walk the root's critical path back from its end: the child ending
+  // last is on it, then the one ending last before that child starts...
+  std::vector<const obs::Span*> kids;
+  for (const obs::Span& s : spans) {
+    if (s.parent_id == root->span_id) kids.push_back(&s);
+  }
+  std::sort(kids.begin(), kids.end(), [](const obs::Span* a, const obs::Span* b) {
+    return a->end_s > b->end_s;
+  });
+  double cursor = root->end_s;
+  double own = 0;
+  for (const obs::Span* k : kids) {
+    if (k->end_s > cursor + eps) continue;
+    own += cursor - k->end_s;
+    cursor = k->start_s;
+  }
+  own += cursor - root->start_s;
+  EXPECT_NEAR(own, 0.0, eps) << "client time outside every child span";
+
+  size_t stage_spans = 0, max_groups = 0;
+  for (const obs::Span& s : spans) {
+    if (s.name != "in.stage_updates") continue;
+    ++stage_spans;
+    std::vector<const obs::Span*> wal;
+    std::set<std::string> groups;
+    for (const obs::Span& c : spans) {
+      if (c.parent_id != s.span_id) continue;
+      ASSERT_EQ(c.name, "wal.append");
+      wal.push_back(&c);
+      for (const auto& [k, v] : c.tags) {
+        if (k == "group") groups.insert(v);
+      }
+    }
+    EXPECT_EQ(wal.size(), groups.size()) << "one wal.append per group";
+    max_groups = std::max(max_groups, groups.size());
+    std::sort(wal.begin(), wal.end(), [](const obs::Span* a, const obs::Span* b) {
+      return a->start_s < b->start_s;
+    });
+    for (size_t i = 0; i < wal.size(); ++i) {
+      EXPECT_GT(wal[i]->end_s, wal[i]->start_s);
+      EXPECT_GE(wal[i]->start_s, s.start_s);
+      EXPECT_LE(wal[i]->end_s, s.end_s);
+      if (i > 0) {
+        EXPECT_EQ(wal[i]->start_s, wal[i - 1]->end_s) << "end to end";
+      }
+    }
+  }
+  EXPECT_EQ(stage_spans, cluster.num_index_nodes()) << "one message per node";
+  EXPECT_GE(max_groups, 3u);
+}
+
 }  // namespace
 }  // namespace propeller::core

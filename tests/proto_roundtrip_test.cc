@@ -123,35 +123,63 @@ TEST(ProtoRoundtrip, CreateGroupRequest) {
   ExpectRoundtrip(req);
 }
 
+// The fixed header (clock, admission flag) is followed by one section per
+// group; every section field is always on the wire.
 TEST(ProtoRoundtrip, StageUpdatesRequestTrailingSections) {
   StageUpdatesRequest req;
-  req.group = 3;
   req.now_s = 1.5;
-  req.updates = {MakeUpdate(100), MakeUpdate(101)};
-  ExpectRoundtrip(req);  // legacy wire: no epoch/role/admission bytes
+  ExpectRoundtrip(req);  // header only
 
-  req.epoch = 9;
-  ExpectRoundtrip(req);  // epoch section only
-
-  req.replica_role = kReplicaRolePrimary;
-  ExpectRoundtrip(req);  // role implies epoch
-
-  // Role with epoch 0: the epoch field must still be on the wire.
-  req.epoch = 0;
+  StageSection plain;
+  plain.group = 3;
+  plain.updates = {MakeUpdate(100), MakeUpdate(101)};
+  req.sections.push_back(plain);
   ExpectRoundtrip(req);
 
+  StageSection stamped;
+  stamped.group = 4;
+  stamped.epoch = 9;
+  stamped.replica_role = kReplicaRolePrimary;
+  stamped.updates = {MakeUpdate(102)};
+  req.sections.push_back(stamped);
+  StageSection secondary;
+  secondary.group = 5;
+  secondary.replica_role = kReplicaRoleSecondary;
+  req.sections.push_back(secondary);  // a section may carry no updates
   req.admission = 1;
-  ExpectRoundtrip(req);  // admission implies role + epoch
-
-  // Admission with default role/epoch: all three fields still written.
-  req.replica_role = kReplicaRoleNone;
   ExpectRoundtrip(req);
+
+  auto out = Decode<StageUpdatesRequest>(EncodeBytes(req));
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->sections.size(), 3u);
+  EXPECT_EQ(out->admission, 1);
+  EXPECT_EQ(out->sections[1].group, 4u);
+  EXPECT_EQ(out->sections[1].epoch, 9u);
+  EXPECT_EQ(out->sections[1].replica_role, kReplicaRolePrimary);
+  EXPECT_EQ(out->sections[0].updates.size(), 2u);
+  EXPECT_EQ(out->sections[2].replica_role, kReplicaRoleSecondary);
 }
 
 TEST(ProtoRoundtrip, StageUpdatesResponse) {
   StageUpdatesResponse resp;
-  resp.seq = 77;
   ExpectRoundtrip(resp);
+  resp.sections = {{StatusCode::kOk, 77},
+                   {StatusCode::kStaleLocation, 0},
+                   {StatusCode::kNotFound, 0}};
+  ExpectRoundtrip(resp);
+  auto out = Decode<StageUpdatesResponse>(EncodeBytes(resp));
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->sections.size(), 3u);
+  EXPECT_EQ(out->sections[0].seq, 77u);
+  EXPECT_EQ(out->sections[1].code, StatusCode::kStaleLocation);
+}
+
+TEST(ProtoRoundtrip, StageUpdatesResponseRejectsUnknownCodes) {
+  BinaryWriter w;
+  w.PutU32(1);
+  w.PutU8(0xff);  // not a StatusCode
+  w.PutU64(0);
+  EXPECT_FALSE(Decode<StageUpdatesResponse>(w.data()).ok());
 }
 
 TEST(ProtoRoundtrip, SearchRequestTrailingSections) {
@@ -246,21 +274,9 @@ TEST(ProtoRoundtrip, ResetNodeRequest) {
 }
 
 // The feature-off wire bytes must be identical to a message that never
-// had the trailing fields: epoch 0 / role none / admission 0 encodes to
-// exactly the same bytes as the pre-feature struct.
+// had the trailing fields: epoch 0 / arrival 0 encodes to exactly the same
+// bytes as the pre-feature struct.
 TEST(ProtoRoundtrip, TrailingOptionalAbsenceIsByteIdentical) {
-  StageUpdatesRequest base;
-  base.group = 3;
-  base.now_s = 1.5;
-  base.updates = {MakeUpdate(100)};
-  std::string legacy = EncodeBytes(base);
-
-  StageUpdatesRequest with_defaults = base;
-  with_defaults.epoch = 0;
-  with_defaults.replica_role = kReplicaRoleNone;
-  with_defaults.admission = 0;
-  EXPECT_EQ(legacy, EncodeBytes(with_defaults));
-
   SearchRequest s;
   s.groups = {1};
   std::string s_legacy = EncodeBytes(s);

@@ -104,17 +104,19 @@ TEST(ReadPathProtoTest, TrailingEpochIsAbsentWhenZero) {
 TEST(ReadPathProtoTest, AllEpochCarryingMessagesRoundTrip) {
   {
     StageUpdatesRequest req;
-    req.group = 7;
     req.now_s = 1.5;
-    req.epoch = 9;
+    req.sections.resize(1);
+    req.sections[0].group = 7;
+    req.sections[0].epoch = 9;
     auto rt = Decode<StageUpdatesRequest>(Encode(req));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->group, 7u);
-    EXPECT_EQ(rt->epoch, 9u);
-    req.epoch = 0;
+    ASSERT_EQ(rt->sections.size(), 1u);
+    EXPECT_EQ(rt->sections[0].group, 7u);
+    EXPECT_EQ(rt->sections[0].epoch, 9u);
+    req.sections[0].epoch = 0;
     auto rt0 = Decode<StageUpdatesRequest>(Encode(req));
     ASSERT_TRUE(rt0.ok());
-    EXPECT_EQ(rt0->epoch, 0u);
+    EXPECT_EQ(rt0->sections[0].epoch, 0u);
   }
   {
     ResolveSearchResponse resp;
@@ -186,6 +188,30 @@ TEST(ReadPathCachingTest, BatchUpdatePlacementsAreCachedToo) {
             resolved_after_load);
 }
 
+TEST(ReadPathCachingTest, CachedSearchSeesGroupsThisClientJustCreated) {
+  auto cluster = MakeLoadedCluster(MakeConfig(/*caching=*/true));
+  auto& client = cluster->client();
+  Predicate all;
+  all.And("size", index::CmpOp::kGe, index::AttrValue(int64_t{0}));
+  auto before = client.Search(all, "by_size");  // fills the search cache
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->files.size(), kBaseFiles);
+  const uint64_t groups_before = cluster->master().NumGroups();
+
+  // New files: more than a group holds, so the master opens new groups.
+  constexpr uint64_t kNew = 600;
+  auto fresh = workload::SyntheticRows(kBaseFiles + 1, kNew, Spec());
+  ASSERT_TRUE(client.BatchUpdate(fresh, cluster->now()).ok());
+  ASSERT_GT(cluster->master().NumGroups(), groups_before);
+
+  auto after = client.Search(all, "by_size");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->files.size(), kBaseFiles + kNew)
+      << "a cached search must not miss rows its own client just wrote";
+  std::set<FileId> found(after->files.begin(), after->files.end());
+  for (const FileUpdate& u : fresh) EXPECT_EQ(found.count(u.file), 1u);
+}
+
 // --- 3. staleness repair (composes with failure recovery) ------------------
 
 TEST(ReadPathCachingTest, StaleRouteAfterRecoveryRepairsWithOneResolve) {
@@ -243,16 +269,23 @@ TEST(ReadPathCachingTest, IndexNodeRejectsStaleEpochRequests) {
   auto skip = cluster->transport().Call(100, node, "in.search", Encode(sreq));
   EXPECT_TRUE(skip.status.ok());
 
-  StageUpdatesRequest ureq;
-  ureq.group = 999'999;
-  ureq.epoch = 5;
-  auto ustale =
-      cluster->transport().Call(100, node, "in.stage_updates", Encode(ureq));
-  EXPECT_EQ(ustale.status.code(), StatusCode::kStaleLocation);
-  ureq.epoch = 0;
-  auto unotfound =
-      cluster->transport().Call(100, node, "in.stage_updates", Encode(ureq));
-  EXPECT_EQ(unotfound.status.code(), StatusCode::kNotFound);
+  // A stage message reports the same verdicts per section.
+  auto stage_code = [&](uint64_t epoch) {
+    StageUpdatesRequest ureq;
+    ureq.sections.resize(1);
+    ureq.sections[0].group = 999'999;
+    ureq.sections[0].epoch = epoch;
+    auto call =
+        cluster->transport().Call(100, node, "in.stage_updates", Encode(ureq));
+    EXPECT_TRUE(call.status.ok());
+    auto resp = Decode<StageUpdatesResponse>(call.payload);
+    EXPECT_TRUE(resp.ok());
+    EXPECT_EQ(resp->sections.size(), 1u);
+    return resp.ok() && resp->sections.size() == 1u ? resp->sections[0].code
+                                                    : StatusCode::kInternal;
+  };
+  EXPECT_EQ(stage_code(5), StatusCode::kStaleLocation);
+  EXPECT_EQ(stage_code(0), StatusCode::kNotFound);
 }
 
 TEST(ReadPathCachingTest, MetadataEpochSurvivesSnapshotRestore) {

@@ -2,9 +2,10 @@
 // straggler-aware recovery.
 //
 // Pinned-down properties:
-//   1. Wire compatibility — every replication field (replica sets, stage
-//      roles, seq acks, read floors) is trailing-optional: absent at r=1,
-//      so the unreplicated wire format is byte-identical to before.
+//   1. Wire compatibility — the resolve and search replication fields
+//      (replica sets, read floors) are trailing-optional: absent at r=1,
+//      so those messages are byte-identical to before.  Stage sections
+//      always carry their role and stage results their seq.
 //   2. Quorum writes — at r=2 every group lives on two distinct nodes,
 //      both replicas hold the data, and the primary acks journal commit
 //      sequences the client tracks as read-your-writes floors.
@@ -137,20 +138,19 @@ TEST(ReplicationProtoTest, ReplicaSectionsAreAbsentWhenOff) {
     EXPECT_EQ(rt->replicas[0].nodes, (std::vector<NodeId>{10, 12}));
   }
   {
+    // Stage sections always carry their role (fixed layout).
     StageUpdatesRequest req;
-    req.group = 3;
     req.now_s = 1.0;
-    const std::string without = Encode(req);
-    req.replica_role = kReplicaRoleSecondary;
-    const std::string with = Encode(req);
-    EXPECT_LT(without.size(), with.size());
-    auto plain = Decode<StageUpdatesRequest>(without);
-    ASSERT_TRUE(plain.ok());
-    EXPECT_EQ(plain->replica_role, kReplicaRoleNone);
-    auto rt = Decode<StageUpdatesRequest>(with);
+    req.sections.resize(2);
+    req.sections[0].group = 3;
+    req.sections[1].group = 4;
+    req.sections[1].replica_role = kReplicaRoleSecondary;
+    auto rt = Decode<StageUpdatesRequest>(Encode(req));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->replica_role, kReplicaRoleSecondary);
-    EXPECT_EQ(rt->epoch, 0u);
+    ASSERT_EQ(rt->sections.size(), 2u);
+    EXPECT_EQ(rt->sections[0].replica_role, kReplicaRoleNone);
+    EXPECT_EQ(rt->sections[1].replica_role, kReplicaRoleSecondary);
+    EXPECT_EQ(rt->sections[1].epoch, 0u);
   }
   {
     SearchRequest req;
@@ -173,10 +173,11 @@ TEST(ReplicationProtoTest, ReplicaSectionsAreAbsentWhenOff) {
   }
   {
     StageUpdatesResponse resp;
-    resp.seq = 41;
+    resp.sections = {{StatusCode::kOk, 41}};
     auto rt = Decode<StageUpdatesResponse>(Encode(resp));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->seq, 41u);
+    ASSERT_EQ(rt->sections.size(), 1u);
+    EXPECT_EQ(rt->sections[0].seq, 41u);
   }
   {
     CatchUpRequest req;
@@ -302,18 +303,22 @@ TEST(ReplicationTest, LaggingReplicaAnswersStaleAndCatchesUpOnTick) {
   // Stage one update on the primary only (role-stamped, journal-appended)
   // — the secondary is now one record behind.
   StageUpdatesRequest sreq;
-  sreq.group = g;
   sreq.now_s = cluster->now();
-  sreq.replica_role = kReplicaRolePrimary;
+  sreq.sections.resize(1);
+  sreq.sections[0].group = g;
+  sreq.sections[0].replica_role = kReplicaRolePrimary;
   FileUpdate u;
   u.file = 9'500'000;
   u.attrs.Set("size", AttrValue(int64_t{32} << 20));
-  sreq.updates.push_back(u);
+  sreq.sections[0].updates.push_back(u);
   auto staged =
       cluster->transport().Call(100, primary, "in.stage_updates", Encode(sreq));
   ASSERT_TRUE(staged.status.ok());
-  auto ack = Decode<StageUpdatesResponse>(staged.payload);
-  ASSERT_TRUE(ack.ok());
+  auto decoded_ack = Decode<StageUpdatesResponse>(staged.payload);
+  ASSERT_TRUE(decoded_ack.ok());
+  ASSERT_EQ(decoded_ack->sections.size(), 1u);
+  ASSERT_EQ(decoded_ack->sections[0].code, StatusCode::kOk);
+  const StageUpdatesResponse::SectionResult* ack = &decoded_ack->sections[0];
   ASSERT_GT(ack->seq, 0u);
   EXPECT_EQ(ack->seq, cluster->recovery_journal()->Seq(g));
 
@@ -434,23 +439,6 @@ TEST(ReplicationTest, FactorOneStaysOnTheLegacyWireFormat) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->replicas.empty());
   EXPECT_EQ(Encode(*decoded), rcall.payload);
-
-  // Role-less stage requests get the legacy empty response payload.
-  auto groups = AllGroups(*cluster);
-  ASSERT_FALSE(groups.empty());
-  StageUpdatesRequest sreq;
-  sreq.group = *groups.begin();
-  sreq.now_s = cluster->now();
-  FileUpdate u;
-  u.file = 9'700'000;
-  u.attrs.Set("size", AttrValue(int64_t{1} << 20));
-  sreq.updates.push_back(u);
-  auto scall =
-      cluster->transport().Call(100, cluster->master().NodeOfGroup(*groups.begin())
-                                         .value(),
-                                "in.stage_updates", Encode(sreq));
-  ASSERT_TRUE(scall.status.ok());
-  EXPECT_TRUE(scall.payload.empty());
 }
 
 }  // namespace
