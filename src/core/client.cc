@@ -123,17 +123,6 @@ PropellerClient::PropellerClient(NodeId id, net::Transport* transport,
   file_shard_epochs_.assign(NumShards(), 0);
 }
 
-std::vector<uint64_t> PropellerClient::EffectiveEpochs(
-    uint64_t scalar, const std::vector<uint64_t>& vec) const {
-  std::vector<uint64_t> out(NumShards(), 0);
-  if (!vec.empty()) {
-    for (size_t s = 0; s < out.size() && s < vec.size(); ++s) out[s] = vec[s];
-  } else if (scalar > 0) {
-    out[0] = scalar;
-  }
-  return out;
-}
-
 bool PropellerClient::LookupSearchTargets(const std::string& index_name,
                                           ResolveSearchResponse* targets,
                                           uint64_t* epoch) {
@@ -148,11 +137,7 @@ bool PropellerClient::LookupSearchTargets(const std::string& index_name,
 
 void PropellerClient::StoreSearchTargets(const std::string& index_name,
                                          const ResolveSearchResponse& resp) {
-  const std::vector<uint64_t> eps =
-      EffectiveEpochs(resp.metadata_epoch, resp.shard_epochs);
-  bool published = false;
-  for (uint64_t e : eps) published = published || e != 0;
-  if (!published) return;  // master is not publishing epochs
+  const std::vector<uint64_t>& eps = resp.shard_epochs;
   MutexLock lock(cache_mu_);
   // Per-shard freshness: a response older than the cache on every shard it
   // covers is a raced older view; any strictly newer shard means placement
@@ -192,12 +177,8 @@ void PropellerClient::LookupFilePlacements(
 }
 
 void PropellerClient::StoreFilePlacements(const ResolveUpdateResponse& resp) {
-  const std::vector<uint64_t> eps =
-      EffectiveEpochs(resp.metadata_epoch, resp.shard_epochs);
+  const std::vector<uint64_t>& eps = resp.shard_epochs;
   const uint32_t n = NumShards();
-  bool published = false;
-  for (uint64_t e : eps) published = published || e != 0;
-  if (!published) return;  // master is not publishing epochs
   MutexLock lock(cache_mu_);
   // Per-shard accept/evict: a shard whose published epoch moved past the
   // cache invalidates only that shard's entries; a shard the response is
@@ -294,10 +275,14 @@ bool PropellerClient::ResolveUpdateDelegated(const std::vector<FileId>& files,
       *cost += slowest;
       return false;
     }
+    if (!ValidResolve(*resolved)) {
+      *cost += slowest;
+      return false;
+    }
     for (const auto& p : resolved->placements) got[p.file] = p;
-    const std::vector<uint64_t> branch_eps =
-        EffectiveEpochs(resolved->metadata_epoch, resolved->shard_epochs);
-    for (uint32_t s = 0; s < n; ++s) eps[s] = std::max(eps[s], branch_eps[s]);
+    for (uint32_t s = 0; s < n; ++s) {
+      eps[s] = std::max(eps[s], resolved->shard_epochs[s]);
+    }
     for (const GroupReplicaSet& rs : resolved->replicas) rsets[rs.group] = rs;
   }
   *cost += slowest;
@@ -312,13 +297,7 @@ bool PropellerClient::ResolveUpdateDelegated(const std::vector<FileId>& files,
   }
   out->replicas.clear();
   for (auto& [g, rs] : rsets) out->replicas.push_back(std::move(rs));
-  if (n == 1) {
-    out->metadata_epoch = eps[0];
-    out->shard_epochs.clear();
-  } else {
-    out->metadata_epoch = 0;
-    out->shard_epochs = std::move(eps);
-  }
+  out->shard_epochs = std::move(eps);
   delegated_resolves_->Add(1);
   return true;
 }
@@ -361,13 +340,17 @@ bool PropellerClient::ResolveSearchDelegated(const std::string& index_name,
       *cost += slowest;
       return false;
     }
+    if (!ValidResolve(*resolved)) {
+      *cost += slowest;
+      return false;
+    }
     for (const auto& t : resolved->targets) {
       auto& groups = by_node[t.node];
       groups.insert(groups.end(), t.groups.begin(), t.groups.end());
     }
-    const std::vector<uint64_t> branch_eps =
-        EffectiveEpochs(resolved->metadata_epoch, resolved->shard_epochs);
-    for (uint32_t s = 0; s < n; ++s) eps[s] = std::max(eps[s], branch_eps[s]);
+    for (uint32_t s = 0; s < n; ++s) {
+      eps[s] = std::max(eps[s], resolved->shard_epochs[s]);
+    }
     for (const GroupReplicaSet& rs : resolved->replicas) rsets[rs.group] = rs;
   }
   *cost += slowest;
@@ -382,13 +365,7 @@ bool PropellerClient::ResolveSearchDelegated(const std::string& index_name,
   }
   out->replicas.clear();
   for (auto& [g, rs] : rsets) out->replicas.push_back(std::move(rs));
-  if (n == 1) {
-    out->metadata_epoch = eps[0];
-    out->shard_epochs.clear();
-  } else {
-    out->metadata_epoch = 0;
-    out->shard_epochs = std::move(eps);
-  }
+  out->shard_epochs = std::move(eps);
   delegated_resolves_->Add(1);
   return true;
 }
@@ -494,13 +471,16 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
       ResolveUpdateRequest rreq;
       rreq.files = std::move(files);
       // Open-loop traffic stamps the resolve's arrival so the master can
-      // model per-shard queueing; absent otherwise (wire unchanged).
+      // model per-shard queueing (0 = unstamped).
       rreq.arrival_s = admission ? now_s : 0;
       auto rcall = CallWithRetry(master_, "mn.resolve_update", Encode(rreq));
       if (!rcall.status.ok()) return rcall.status;
       cost += rcall.cost;
       auto decoded = Decode<ResolveUpdateResponse>(rcall.payload);
       if (!decoded.ok()) return decoded.status();
+      if (!ValidResolve(*decoded)) {
+        return Status::Corruption("resolve names the wrong shard count");
+      }
       resolved = std::move(*decoded);
       if (config_.placement_leases) StoreLeaseHolders(resolved.lease_holders);
     }
@@ -510,10 +490,8 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
     if (config_.replicated) StoreReplicaSets(resolved.replicas);
     if (caching) StoreFilePlacements(resolved);
     if (caching || config_.replicated) {
-      const std::vector<uint64_t> eps =
-          EffectiveEpochs(resolved.metadata_epoch, resolved.shard_epochs);
       for (size_t s = 0; s < epochs.size(); ++s) {
-        epochs[s] = std::max(epochs[s], eps[s]);
+        epochs[s] = std::max(epochs[s], resolved.shard_epochs[s]);
       }
     }
     return Status::Ok();
@@ -938,20 +916,23 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
       ResolveSearchRequest rreq;
       rreq.index_name = index_name;
       // Open-loop traffic stamps the resolve's arrival so the master can
-      // model per-shard queueing; absent otherwise (wire unchanged).
+      // model per-shard queueing (0 = unstamped).
       rreq.arrival_s = arrival_s;
       auto rcall = CallWithRetry(master_, "mn.resolve_search", Encode(rreq));
       if (!rcall.status.ok()) return rcall.status;
       out.cost += rcall.cost;
       auto decoded = Decode<ResolveSearchResponse>(rcall.payload);
       if (!decoded.ok()) return decoded.status();
+      if (!ValidResolve(*decoded)) {
+        return Status::Corruption("resolve names the wrong shard count");
+      }
       targets = std::move(*decoded);
       if (config_.placement_leases) StoreLeaseHolders(targets.lease_holders);
     }
     // The stamped epoch is a staleness *flag* at the Index Nodes (>0 asks
-    // for kStaleLocation on moved groups), so the max across shards keeps
-    // the legacy scalar semantics at any shard count.
-    epoch = targets.metadata_epoch;
+    // for kStaleLocation on moved groups), so one number — the max across
+    // shards — serves at any shard count.
+    epoch = 0;
     for (uint64_t e : targets.shard_epochs) epoch = std::max(epoch, e);
     if (replicated) StoreReplicaSets(targets.replicas);
     if (caching) StoreSearchTargets(index_name, targets);

@@ -58,8 +58,7 @@ struct ClientConfig {
   // the resolve RPC on repeat requests, stamp the epoch onto in.search /
   // in.stage_updates, and recover from kStaleLocation — or a cached route
   // to an unreachable node — with exactly one re-resolve + retry.
-  // Requires MasterConfig::publish_metadata_epoch on the master to have
-  // any effect; PropellerCluster wires both from its own flag.
+  // PropellerCluster wires this from its own flag.
   bool read_path_caching = false;
   // Replication (tail-tolerant reads).  On, the client fans every write
   // shipment to the group's full replica set — the primary's journal
@@ -72,7 +71,7 @@ struct ClientConfig {
   // Sharded master (mirrors ClusterConfig::master_shards): the client keys
   // its placement caches by (shard, epoch) — resolve responses carry one
   // epoch per metadata shard, and one shard's churn evicts only that
-  // shard's cached placements.  1 = the legacy scalar-epoch behaviour.
+  // shard's cached placements.  Must match the master's shard count.
   uint32_t master_shards = 1;
   // Placement delegation: resolves route to the lease-holding Index Nodes
   // named by the master's resolve responses ("in.resolve_update" /
@@ -211,11 +210,11 @@ class PropellerClient {
   uint32_t NumShards() const {
     return config_.master_shards == 0 ? 1 : config_.master_shards;
   }
-  // Normalizes a resolve response's epoch publication — the scalar at one
-  // shard, the trailing vector otherwise — into one slot per shard
-  // (0 = that shard published nothing).
-  std::vector<uint64_t> EffectiveEpochs(
-      uint64_t scalar, const std::vector<uint64_t>& vec) const;
+  // A resolve response is usable only with one epoch per metadata shard.
+  template <typename ResponseT>
+  bool ValidResolve(const ResponseT& resp) const {
+    return resp.shard_epochs.size() == NumShards();
+  }
 
   // --- placement delegation (placement_leases) ---
   // Memoizes the per-shard lease holders a master resolve response names.

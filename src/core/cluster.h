@@ -44,11 +44,11 @@ struct ClusterConfig {
   // plus one branch.  Metrics counters are always on.
   bool tracing = false;
   // Read-path caching (three layers, see DESIGN.md "Read path & caching"):
-  // the master stamps resolve responses with its metadata epoch, clients
-  // cache placements and skip repeat resolve RPCs (recovering from stale
+  // clients cache placements keyed by the per-shard epochs every resolve
+  // response carries and skip repeat resolve RPCs (recovering from stale
   // routes with one re-resolve + retry), and every group memoizes search
-  // results until its next commit.  Off by default — when off, simulated
-  // costs, results, and traces are bit-identical to previous behavior.
+  // results until its next commit.  Off by default — when off, nothing is
+  // cached and requests carry no epoch.
   bool read_path_caching = false;
   // Write-read decoupling (see DESIGN.md "Segments & group commit"): every
   // group runs in segmented mode — immutable committed segments plus a
@@ -67,8 +67,7 @@ struct ClusterConfig {
   // node death becomes a promotion + journal catch-up instead of a full
   // rebuild; clients hedge slow search branches to the secondaries.
   // Implies recovery_journal (the journal is the replication log).
-  // 1 = off: wire bytes, simulated costs, and traces are bit-identical to
-  // previous behavior.
+  // 1 = off.
   int replication_factor = 1;
   // Replicated mode only: hedge a search branch to the group's secondary
   // when the primary runs past the client's observed latency quantile (or
@@ -89,8 +88,7 @@ struct ClusterConfig {
   // hash-partitions its file -> ACG map, group placements, and node loads
   // into this many independently locked shards, each with its own
   // metadata epoch (resolve responses carry one epoch per shard; client
-  // caches evict per shard).  1 = off: wire bytes, simulated costs, and
-  // traces are bit-identical to previous behavior.
+  // caches evict per shard).  1 = the paper's single master.
   int master_shards = 1;
   // Placement delegation: the master grants each metadata shard as a
   // time-bounded lease (mirror included) to an Index Node on its

@@ -676,7 +676,6 @@ net::RpcHandler::Response IndexNode::HandleReset(const std::string& payload) {
 void IndexNode::InstallLeases(const HeartbeatResponse& resp, double now_s) {
   MutexLock lock(lease_mu_);
   lease_now_s_ = std::max(lease_now_s_, now_s);
-  if (resp.num_shards == 0) return;  // legacy empty ack, no lease section
   lease_num_shards_ = resp.num_shards;
   lease_index_names_ = resp.index_names;
   for (const ShardLeaseGrant& grant : resp.leases) {
@@ -720,7 +719,7 @@ net::RpcHandler::Response IndexNode::HandleResolveUpdate(
   auto req = Decode<ResolveUpdateRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
   MutexLock lock(lease_mu_);
-  const uint32_t n = lease_num_shards_ == 0 ? 1 : lease_num_shards_;
+  const uint32_t n = lease_num_shards_;
   // Every file's lookup is charged even on the refusal path: the node did
   // the mirror probes before discovering it cannot answer.
   sim::Cost cost(config_.resolve_lookup_us * 1e-6 *
@@ -767,11 +766,7 @@ net::RpcHandler::Response IndexNode::HandleResolveUpdate(
       resp.replicas.push_back(GroupReplicaSet{g, rit->second});
     }
   }
-  if (n == 1) {
-    resp.metadata_epoch = epochs[0];
-  } else {
-    resp.shard_epochs = std::move(epochs);
-  }
+  resp.shard_epochs = std::move(epochs);
   resolve_delegated_->Add(1);
   return Response{Status::Ok(), Encode(resp), cost};
 }
@@ -781,7 +776,7 @@ net::RpcHandler::Response IndexNode::HandleResolveSearch(
   auto req = Decode<ResolveSearchRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
   MutexLock lock(lease_mu_);
-  const uint32_t n = lease_num_shards_ == 0 ? 1 : lease_num_shards_;
+  const uint32_t n = lease_num_shards_;
   auto refuse = [&](const char* why, sim::Cost cost) {
     resolve_stale_->Add(1);
     return Response{Status::StaleLocation(why), {}, cost};
@@ -828,11 +823,7 @@ net::RpcHandler::Response IndexNode::HandleResolveSearch(
             [](const GroupReplicaSet& a, const GroupReplicaSet& b) {
               return a.group < b.group;
             });
-  if (n == 1) {
-    resp.metadata_epoch = epochs[0];
-  } else {
-    resp.shard_epochs = std::move(epochs);
-  }
+  resp.shard_epochs = std::move(epochs);
   resolve_delegated_->Add(1);
   return Response{Status::Ok(), Encode(resp), cost};
 }
@@ -914,7 +905,7 @@ Status IndexNode::Reset() {
     MutexLock lock(lease_mu_);
     leases_.clear();
     lease_index_names_.clear();
-    lease_num_shards_ = 0;
+    lease_num_shards_ = 1;
   }
   WriterMutexLock lock(groups_mu_);
   groups_.clear();

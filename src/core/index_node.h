@@ -241,7 +241,7 @@ class IndexNode : public net::RpcHandler {
     std::unordered_map<FileId, GroupId> file_group;     // mirror
   };
   mutable Mutex lease_mu_{LockRank::kIndexNodeLease, "IndexNode::lease_mu_"};
-  uint32_t lease_num_shards_ GUARDED_BY(lease_mu_) = 0;
+  uint32_t lease_num_shards_ GUARDED_BY(lease_mu_) = 1;
   std::vector<std::string> lease_index_names_ GUARDED_BY(lease_mu_);
   std::map<uint32_t, ShardLease> leases_ GUARDED_BY(lease_mu_);
   // Last cluster time this node observed (heartbeat responses, in.tick);

@@ -284,8 +284,7 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
   ResolveUpdateResponse resp;
   resp.placements.resize(req->files.size());
 
-  // Bucket request positions by owning shard; n = 1 degenerates to the
-  // legacy single pass in request order.
+  // Bucket request positions by owning shard (request order within each).
   std::vector<std::vector<size_t>> by_shard(n);
   for (size_t i = 0; i < req->files.size(); ++i) {
     by_shard[ShardOfFile(req->files[i], n)].push_back(i);
@@ -295,7 +294,7 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
   bool lease_covered = false;
   double queue_wait = 0;
   for (uint32_t s = 0; s < n; ++s) {
-    if (n > 1 && by_shard[s].empty()) continue;
+    if (by_shard[s].empty()) continue;
     Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
     if (shard.lease_holder != 0) lease_covered = true;
@@ -341,13 +340,7 @@ net::RpcHandler::Response MasterNode::HandleResolveUpdate(
     }
   }
   cost += sim::Cost(queue_wait);
-  if (config_.publish_metadata_epoch) {
-    if (n == 1) {
-      resp.metadata_epoch = epochs[0];
-    } else {
-      resp.shard_epochs = epochs;
-    }
-  }
+  resp.shard_epochs = std::move(epochs);
   // The master answered a resolve a delegate holds a lease for — counted
   // so "leases keep the master out of the steady state" is checkable.
   if (lease_covered) lease_stale_->Add(1);
@@ -414,13 +407,7 @@ net::RpcHandler::Response MasterNode::HandleResolveSearch(
   }
   std::sort(resp.targets.begin(), resp.targets.end(),
             [](const auto& a, const auto& b) { return a.node < b.node; });
-  if (config_.publish_metadata_epoch) {
-    if (n == 1) {
-      resp.metadata_epoch = epochs[0];
-    } else {
-      resp.shard_epochs = epochs;
-    }
-  }
+  resp.shard_epochs = std::move(epochs);
   if (lease_covered) lease_stale_->Add(1);
   StampShardSections(resp);
   sim::Cost cost(config_.lookup_us / 1e6 *
@@ -485,39 +472,32 @@ net::RpcHandler::Response MasterNode::HandleFlushAcg(const std::string& payload)
   const std::vector<IndexSpec> catalog = CatalogSnapshot();
   sim::Cost cost(config_.lookup_us / 1e6 *
                  static_cast<double>(req->delta.NumEdges() + 1));
-  if (n == 1) {
-    Shard& shard = *shards_[0];
+  // Partition the delta: an edge survives iff both endpoints hash to the
+  // same shard; a cross-shard edge degrades to two bare vertices (the
+  // causal correlation is dropped — the sharding trade-off documented in
+  // DESIGN.md).  Vertex-only entries go to their own shard.  With one shard
+  // every edge survives.
+  std::vector<acg::Acg> deltas(n);
+  req->delta.ForEachEdge([&](FileId from, FileId to, uint64_t w) {
+    const uint32_t fs = ShardOfFile(from, n);
+    const uint32_t ts = ShardOfFile(to, n);
+    if (fs == ts) {
+      deltas[fs].AddEdge(from, to, w);
+    } else {
+      deltas[fs].AddVertex(from);
+      deltas[ts].AddVertex(to);
+    }
+  });
+  for (FileId f : req->delta.SortedVertices()) {
+    deltas[ShardOfFile(f, n)].AddVertex(f);
+  }
+  for (uint32_t s = 0; s < n; ++s) {
+    if (deltas[s].empty()) continue;
+    Shard& shard = *shards_[s];
     MutexLock lock(shard.mu_);
-    auto result = shard.acg.ApplyDelta(req->delta);
+    auto result = shard.acg.ApplyDelta(deltas[s]);
     cost += ApplyAcgResult(shard, result, catalog);
     cost += RunSplitMaintenanceShard(shard, catalog);
-  } else {
-    // Partition the delta: an edge survives iff both endpoints hash to the
-    // same shard; a cross-shard edge degrades to two bare vertices (the
-    // causal correlation is dropped — the sharding trade-off documented in
-    // DESIGN.md).  Vertex-only entries go to their own shard.
-    std::vector<acg::Acg> deltas(n);
-    req->delta.ForEachEdge([&](FileId from, FileId to, uint64_t w) {
-      const uint32_t fs = ShardOfFile(from, n);
-      const uint32_t ts = ShardOfFile(to, n);
-      if (fs == ts) {
-        deltas[fs].AddEdge(from, to, w);
-      } else {
-        deltas[fs].AddVertex(from);
-        deltas[ts].AddVertex(to);
-      }
-    });
-    for (FileId f : req->delta.SortedVertices()) {
-      deltas[ShardOfFile(f, n)].AddVertex(f);
-    }
-    for (uint32_t s = 0; s < n; ++s) {
-      if (deltas[s].empty()) continue;
-      Shard& shard = *shards_[s];
-      MutexLock lock(shard.mu_);
-      auto result = shard.acg.ApplyDelta(deltas[s]);
-      cost += ApplyAcgResult(shard, result, catalog);
-      cost += RunSplitMaintenanceShard(shard, catalog);
-    }
   }
   MaybeFlushMetadata(cost);
   return Response{Status::Ok(), {}, cost};
@@ -759,9 +739,8 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
     }
   }
 
-  // Load sync: this node's group count per shard (n = 1: the legacy
-  // whole-count stamp).  `eligible` re-admits a revived node to the
-  // ordered placement index.
+  // Load sync: this node's group count per shard.  `eligible` re-admits a
+  // revived node to the ordered placement index.
   std::vector<uint64_t> counts(n, 0);
   for (const auto& gs : req->groups) ++counts[ShardOfGroup(gs.group, n)];
   for (uint32_t s = 0; s < n; ++s) {
@@ -770,12 +749,13 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
     SetNodeLoad(shard, req->node, counts[s], /*eligible=*/true);
   }
 
-  if (!config_.placement_leases) return Response{Status::Ok(), {}, cost};
-
-  // Lease grants ride on the heartbeat response: shard s is delegated
-  // round-robin to index_nodes_[s mod n_nodes].
+  // Lease grants ride on the heartbeat response (none with leases off):
+  // shard s is delegated round-robin to index_nodes_[s mod n_nodes].
   HeartbeatResponse hresp;
   hresp.num_shards = n;
+  if (!config_.placement_leases) {
+    return Response{Status::Ok(), Encode(hresp), cost};
+  }
   for (const IndexSpec& spec : CatalogSnapshot()) {
     hresp.index_names.push_back(spec.name);
   }
@@ -1130,8 +1110,8 @@ std::string MasterNode::SnapshotMetadataImage() const {
   // Catalog.
   w.PutU32(static_cast<uint32_t>(catalog.size()));
   for (const IndexSpec& s : catalog) s.Serialize(w);
-  // Group placements (each group's primary; full replica sets trail below
-  // when replication is on, keeping the r = 1 image byte-identical).
+  // Group placements (each group's primary; the full replica sets follow
+  // the epochs when replication is on).
   w.PutU32(static_cast<uint32_t>(primaries.size()));
   for (const auto& [g, node] : primaries) {
     w.PutU64(g);
@@ -1143,27 +1123,14 @@ std::string MasterNode::SnapshotMetadataImage() const {
     w.PutU64(g);
     w.PutString(blob);
   }
-  // Trailing-optional epoch: written only when published, so the image —
-  // and the simulated flush cost — is unchanged with the feature off.
-  // Replication appends the full replica sets after it, and a sharded
-  // image (n > 1) appends the per-shard epoch vector after those, so each
-  // later section forces the earlier ones (like the wire messages).
-  const bool write_sets = config_.replication_factor > 1;
-  const bool write_vector = n > 1;
-  if (write_sets || write_vector || config_.publish_metadata_epoch) {
-    w.PutU64(*std::max_element(epochs.begin(), epochs.end()));
-  }
-  if (write_sets || write_vector) {
-    w.PutU32(static_cast<uint32_t>(rsets.size()));
-    for (const auto& [g, replicas] : rsets) {
-      w.PutU64(g);
-      w.PutU32(static_cast<uint32_t>(replicas.size()));
-      for (NodeId nd : replicas) w.PutU32(nd);
-    }
-  }
-  if (write_vector) {
-    w.PutU32(n);
-    for (uint64_t e : epochs) w.PutU64(e);
+  // Per-shard epochs, then the replica sets (none when unreplicated).
+  w.PutU32(n);
+  for (uint64_t e : epochs) w.PutU64(e);
+  w.PutU32(static_cast<uint32_t>(rsets.size()));
+  for (const auto& [g, replicas] : rsets) {
+    w.PutU64(g);
+    w.PutU32(static_cast<uint32_t>(replicas.size()));
+    for (NodeId nd : replicas) w.PutU32(nd);
   }
   return std::move(w).Take();
 }
@@ -1204,50 +1171,34 @@ Status MasterNode::RestoreMetadata(const std::string& image) {
     PROPELLER_RETURN_IF_ERROR(acg::Acg::Deserialize(ar, a));
     subgraphs.emplace_back(g, std::move(a));
   }
-  // Trailing-optional epoch.  Restore one *past* the flushed value: the
-  // image may predate un-flushed mutations, so a failed-over master must
-  // not re-issue an epoch clients may already hold for newer state.
-  bool have_epoch = false;
-  uint64_t epoch = 0;
-  if (!r.AtEnd()) {
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(epoch));
-    have_epoch = true;
-  }
-  // Trailing replica sets (replicated image): replace the primary-only
-  // entries decoded above and recount the load view per copy.
-  bool have_sets = false;
+  // Per-shard epochs.  Restore one *past* the flushed value: the image may
+  // predate un-flushed mutations, so a failed-over master must not re-issue
+  // an epoch clients may already hold for newer state.
+  const uint32_t n = static_cast<uint32_t>(shards_.size());
+  uint32_t cnt = 0;
+  PROPELLER_RETURN_IF_ERROR(r.GetU32(cnt));
+  if (cnt != n) return Status::Corruption("image shard count differs");
+  std::vector<uint64_t> shard_epochs(n, 0);
+  for (uint64_t& e : shard_epochs) PROPELLER_RETURN_IF_ERROR(r.GetU64(e));
+  // Replica sets (replicated image): replace the primary-only entries
+  // decoded above and recount the load view per copy.
   std::vector<std::pair<GroupId, std::vector<NodeId>>> sets;
-  if (!r.AtEnd()) {
-    uint32_t nr = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU32(nr));
-    for (uint32_t i = 0; i < nr; ++i) {
-      GroupId g = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU64(g));
-      uint32_t nn = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU32(nn));
-      std::vector<NodeId> replicas;
-      for (uint32_t j = 0; j < nn; ++j) {
-        NodeId nd = 0;
-        PROPELLER_RETURN_IF_ERROR(r.GetU32(nd));
-        replicas.push_back(nd);
-      }
-      sets.emplace_back(g, std::move(replicas));
+  uint32_t nr = 0;
+  PROPELLER_RETURN_IF_ERROR(r.GetU32(nr));
+  for (uint32_t i = 0; i < nr; ++i) {
+    GroupId g = 0;
+    PROPELLER_RETURN_IF_ERROR(r.GetU64(g));
+    uint32_t nn = 0;
+    PROPELLER_RETURN_IF_ERROR(r.GetU32(nn));
+    std::vector<NodeId> replicas;
+    for (uint32_t j = 0; j < nn; ++j) {
+      NodeId nd = 0;
+      PROPELLER_RETURN_IF_ERROR(r.GetU32(nd));
+      replicas.push_back(nd);
     }
-    have_sets = true;
-  }
-  // Trailing per-shard epoch vector (sharded image).
-  std::vector<uint64_t> shard_epochs;
-  if (!r.AtEnd()) {
-    uint32_t cnt = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU32(cnt));
-    for (uint32_t i = 0; i < cnt; ++i) {
-      uint64_t e = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU64(e));
-      shard_epochs.push_back(e);
-    }
+    sets.emplace_back(g, std::move(replicas));
   }
 
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
   {
     MutexLock lock(mu_);
     catalog_ = std::move(catalog);
@@ -1268,8 +1219,7 @@ Status MasterNode::RestoreMetadata(const std::string& image) {
     shard.lease_holder = 0;
     shard.lease_expiry_s = 0;
     shard.lease_pushed_epoch = 0;
-    if (have_epoch) shard.metadata_epoch = epoch + 1;
-    if (s < shard_epochs.size()) shard.metadata_epoch = shard_epochs[s] + 1;
+    shard.metadata_epoch = shard_epochs[s] + 1;
     ++shard.mirror_epoch;  // restored state: any pushed mirror is stale
   }
   for (const auto& [g, nd] : primaries) {
@@ -1283,7 +1233,7 @@ Status MasterNode::RestoreMetadata(const std::string& image) {
     MutexLock lock(shard.mu_);
     shard.acg.RestoreGroup(g, a);
   }
-  if (have_sets) {
+  if (!sets.empty()) {
     for (uint32_t s = 0; s < n; ++s) {
       Shard& shard = *shards_[s];
       MutexLock lock(shard.mu_);

@@ -4,134 +4,24 @@ namespace propeller::core {
 
 namespace {
 
-// Trailing-optional epoch encoding: written only when non-zero so that
-// messages from epoch-less senders (read_path_caching off) are byte-for-
-// byte identical to the pre-epoch wire format — the transport charges
-// message sizes, so this is what keeps the feature cost-free when off.
-void PutTrailingEpoch(BinaryWriter& w, uint64_t epoch) {
-  if (epoch != 0) w.PutU64(epoch);
-}
-
-Status GetTrailingEpoch(BinaryReader& r, uint64_t& epoch) {
-  epoch = 0;
-  if (r.AtEnd()) return Status::Ok();
-  return r.GetU64(epoch);
-}
-
-// Trailing replica-set section (replication).  Follows the trailing
-// epoch, so when the section is written the epoch always is too (its real
-// value, possibly 0) — the decoder can then distinguish "epoch only" from
-// "epoch + replicas" purely by remaining bytes.
-void PutTrailingReplicas(BinaryWriter& w, uint64_t epoch,
-                         const std::vector<GroupReplicaSet>& replicas) {
-  if (replicas.empty()) {
-    PutTrailingEpoch(w, epoch);
-    return;
-  }
-  w.PutU64(epoch);
-  w.PutU32(static_cast<uint32_t>(replicas.size()));
-  for (const GroupReplicaSet& rs : replicas) {
-    w.PutU64(rs.group);
-    w.PutU32(static_cast<uint32_t>(rs.nodes.size()));
-    for (NodeId n : rs.nodes) w.PutU32(n);
-  }
-}
-
-Status GetTrailingReplicas(BinaryReader& r, uint64_t& epoch,
-                           std::vector<GroupReplicaSet>& replicas) {
-  replicas.clear();
-  PROPELLER_RETURN_IF_ERROR(GetTrailingEpoch(r, epoch));
-  if (r.AtEnd()) return Status::Ok();
-  uint32_t n = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
-  for (uint32_t i = 0; i < n; ++i) {
-    GroupReplicaSet rs;
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(rs.group));
-    uint32_t nn = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU32(nn));
-    for (uint32_t j = 0; j < nn; ++j) {
-      NodeId node = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU32(node));
-      rs.nodes.push_back(node);
-    }
-    replicas.push_back(std::move(rs));
-  }
-  return Status::Ok();
-}
-
-// Trailing shard sections (sharded master): a per-shard epoch vector, then
-// a per-shard lease-holder vector.  Either one being present forces every
-// earlier trailing section onto the wire (epoch with its real value,
-// possibly 0; replicas with a possibly-zero count) so the decoder can walk
-// the sections purely by remaining bytes.  Both absent reduces to the
-// legacy PutTrailingReplicas bytes.
-void PutTrailingShardSections(BinaryWriter& w, uint64_t epoch,
-                              const std::vector<GroupReplicaSet>& replicas,
-                              const std::vector<uint64_t>& shard_epochs,
-                              const std::vector<NodeId>& lease_holders) {
-  if (shard_epochs.empty() && lease_holders.empty()) {
-    PutTrailingReplicas(w, epoch, replicas);
-    return;
-  }
-  w.PutU64(epoch);
-  w.PutU32(static_cast<uint32_t>(replicas.size()));
-  for (const GroupReplicaSet& rs : replicas) {
-    w.PutU64(rs.group);
-    w.PutU32(static_cast<uint32_t>(rs.nodes.size()));
-    for (NodeId n : rs.nodes) w.PutU32(n);
-  }
-  w.PutU32(static_cast<uint32_t>(shard_epochs.size()));
-  for (uint64_t e : shard_epochs) w.PutU64(e);
-  if (!lease_holders.empty()) {
-    w.PutU32(static_cast<uint32_t>(lease_holders.size()));
-    for (NodeId n : lease_holders) w.PutU32(n);
-  }
-}
-
-Status GetTrailingShardSections(BinaryReader& r, uint64_t& epoch,
-                                std::vector<GroupReplicaSet>& replicas,
-                                std::vector<uint64_t>& shard_epochs,
-                                std::vector<NodeId>& lease_holders) {
-  shard_epochs.clear();
-  lease_holders.clear();
-  PROPELLER_RETURN_IF_ERROR(GetTrailingReplicas(r, epoch, replicas));
-  if (r.AtEnd()) return Status::Ok();
-  uint32_t ns = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(ns));
-  for (uint32_t i = 0; i < ns; ++i) {
-    uint64_t e = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(e));
-    shard_epochs.push_back(e);
-  }
-  if (r.AtEnd()) return Status::Ok();
-  uint32_t nh = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(nh));
-  for (uint32_t i = 0; i < nh; ++i) {
-    NodeId n = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
-    lease_holders.push_back(n);
-  }
-  return Status::Ok();
-}
-
-// Trailing arrival stamp on resolve requests: absent when 0, so unstamped
-// traffic keeps the legacy bytes.
-void PutTrailingArrival(BinaryWriter& w, double arrival_s) {
-  if (arrival_s > 0) w.PutDouble(arrival_s);
-}
-
-Status GetTrailingArrival(BinaryReader& r, double& arrival_s) {
-  arrival_s = 0;
-  if (r.AtEnd()) return Status::Ok();
-  return r.GetDouble(arrival_s);
-}
-
-// Smallest encodings of the stage message's repeated parts: a section
+// Smallest encodings of the repeated parts the decoders count: a section
 // header (group, epoch, role, update count), a FileUpdate (file, delete
-// flag, empty attribute count) and a section result (code, seq).
+// flag, empty attribute count), a section result (code, seq), a placement
+// (file, group, node), a node's target list (node, group count), a replica
+// set (group, node count), a read-your-writes floor (group, seq), a lease
+// grant without mirror (shard, epoch, expiry, mirror flag), a mirror
+// group primary (group, node) and a mirror file entry (file, group).
 constexpr size_t kMinStageSectionBytes = 8 + 8 + 1 + 4;
 constexpr size_t kMinFileUpdateBytes = 8 + 1 + 4;
 constexpr size_t kStageResultBytes = 1 + 8;
+constexpr size_t kPlacementBytes = 8 + 8 + 4;
+constexpr size_t kMinNodeGroupsBytes = 4 + 4;
+constexpr size_t kMinReplicaSetBytes = 8 + 4;
+constexpr size_t kSeqFloorBytes = 8 + 8;
+constexpr size_t kMinLeaseGrantBytes = 4 + 8 + 8 + 1;
+constexpr size_t kGroupPrimaryBytes = 8 + 4;
+constexpr size_t kFileGroupBytes = 8 + 8;
+constexpr size_t kMinStringBytes = 4;
 
 // Reads an element count and rejects one the remaining input cannot hold
 // (every element takes at least `min_bytes`), so a corrupt count never
@@ -144,6 +34,13 @@ Status GetCount(BinaryReader& r, size_t min_bytes, uint32_t& n) {
   return Status::Ok();
 }
 
+// A lease grant must name one of the response's shards; every master has
+// shard 0.
+Status CheckShard(uint32_t shard, uint32_t num_shards) {
+  if (shard >= num_shards) return Status::Corruption("unknown metadata shard");
+  return Status::Ok();
+}
+
 Status CheckStatusCode(uint8_t raw, StatusCode& code) {
   if (raw > static_cast<uint8_t>(StatusCode::kOverloaded)) {
     return Status::Corruption("unknown status code");
@@ -152,24 +49,96 @@ Status CheckStatusCode(uint8_t raw, StatusCode& code) {
   return Status::Ok();
 }
 
+// Counted vectors of fixed-width ids (files, groups, epochs, nodes).
+void PutU64s(BinaryWriter& w, const std::vector<uint64_t>& values) {
+  w.PutU32(static_cast<uint32_t>(values.size()));
+  for (uint64_t v : values) w.PutU64(v);
+}
+
+Status GetU64s(BinaryReader& r, std::vector<uint64_t>& values) {
+  uint32_t n = 0;
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, 8, n));
+  values.clear();
+  values.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    uint64_t v = 0;
+    PROPELLER_RETURN_IF_ERROR(r.GetU64(v));
+    values.push_back(v);
+  }
+  return Status::Ok();
+}
+
+void PutNodes(BinaryWriter& w, const std::vector<NodeId>& nodes) {
+  w.PutU32(static_cast<uint32_t>(nodes.size()));
+  for (NodeId n : nodes) w.PutU32(n);
+}
+
+Status GetNodes(BinaryReader& r, std::vector<NodeId>& nodes) {
+  uint32_t n = 0;
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, 4, n));
+  nodes.clear();
+  nodes.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    NodeId node = 0;
+    PROPELLER_RETURN_IF_ERROR(r.GetU32(node));
+    nodes.push_back(node);
+  }
+  return Status::Ok();
+}
+
+void PutReplicaSets(BinaryWriter& w,
+                    const std::vector<GroupReplicaSet>& replicas) {
+  w.PutU32(static_cast<uint32_t>(replicas.size()));
+  for (const GroupReplicaSet& rs : replicas) {
+    w.PutU64(rs.group);
+    PutNodes(w, rs.nodes);
+  }
+}
+
+Status GetReplicaSets(BinaryReader& r, std::vector<GroupReplicaSet>& replicas) {
+  uint32_t n = 0;
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, kMinReplicaSetBytes, n));
+  replicas.clear();
+  replicas.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    GroupReplicaSet rs;
+    PROPELLER_RETURN_IF_ERROR(r.GetU64(rs.group));
+    PROPELLER_RETURN_IF_ERROR(GetNodes(r, rs.nodes));
+    replicas.push_back(std::move(rs));
+  }
+  return Status::Ok();
+}
+
+// The routing sections both resolve responses end with: replica sets,
+// per-shard epochs, per-shard lease holders.
+void PutRoutingSections(BinaryWriter& w,
+                        const std::vector<GroupReplicaSet>& replicas,
+                        const std::vector<uint64_t>& shard_epochs,
+                        const std::vector<NodeId>& lease_holders) {
+  PutReplicaSets(w, replicas);
+  PutU64s(w, shard_epochs);
+  PutNodes(w, lease_holders);
+}
+
+Status GetRoutingSections(BinaryReader& r,
+                          std::vector<GroupReplicaSet>& replicas,
+                          std::vector<uint64_t>& shard_epochs,
+                          std::vector<NodeId>& lease_holders) {
+  PROPELLER_RETURN_IF_ERROR(GetReplicaSets(r, replicas));
+  PROPELLER_RETURN_IF_ERROR(GetU64s(r, shard_epochs));
+  return GetNodes(r, lease_holders);
+}
+
 }  // namespace
 
 void ResolveUpdateRequest::Serialize(BinaryWriter& w) const {
-  w.PutU32(static_cast<uint32_t>(files.size()));
-  for (FileId f : files) w.PutU64(f);
-  PutTrailingArrival(w, arrival_s);
+  PutU64s(w, files);
+  w.PutDouble(arrival_s);
 }
 Status ResolveUpdateRequest::Deserialize(BinaryReader& r,
                                          ResolveUpdateRequest& out) {
-  uint32_t n = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
-  out.files.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    FileId f = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(f));
-    out.files.push_back(f);
-  }
-  return GetTrailingArrival(r, out.arrival_s);
+  PROPELLER_RETURN_IF_ERROR(GetU64s(r, out.files));
+  return r.GetDouble(out.arrival_s);
 }
 
 void ResolveUpdateResponse::Serialize(BinaryWriter& w) const {
@@ -179,14 +148,14 @@ void ResolveUpdateResponse::Serialize(BinaryWriter& w) const {
     w.PutU64(p.group);
     w.PutU32(p.node);
   }
-  PutTrailingShardSections(w, metadata_epoch, replicas, shard_epochs,
-                           lease_holders);
+  PutRoutingSections(w, replicas, shard_epochs, lease_holders);
 }
 Status ResolveUpdateResponse::Deserialize(BinaryReader& r,
                                           ResolveUpdateResponse& out) {
   uint32_t n = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, kPlacementBytes, n));
   out.placements.clear();
+  out.placements.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Placement p;
     PROPELLER_RETURN_IF_ERROR(r.GetU64(p.file));
@@ -194,49 +163,42 @@ Status ResolveUpdateResponse::Deserialize(BinaryReader& r,
     PROPELLER_RETURN_IF_ERROR(r.GetU32(p.node));
     out.placements.push_back(p);
   }
-  return GetTrailingShardSections(r, out.metadata_epoch, out.replicas,
-                                  out.shard_epochs, out.lease_holders);
+  return GetRoutingSections(r, out.replicas, out.shard_epochs,
+                            out.lease_holders);
 }
 
 void ResolveSearchRequest::Serialize(BinaryWriter& w) const {
   w.PutString(index_name);
-  PutTrailingArrival(w, arrival_s);
+  w.PutDouble(arrival_s);
 }
 Status ResolveSearchRequest::Deserialize(BinaryReader& r,
                                          ResolveSearchRequest& out) {
   PROPELLER_RETURN_IF_ERROR(r.GetString(out.index_name));
-  return GetTrailingArrival(r, out.arrival_s);
+  return r.GetDouble(out.arrival_s);
 }
 
 void ResolveSearchResponse::Serialize(BinaryWriter& w) const {
   w.PutU32(static_cast<uint32_t>(targets.size()));
   for (const NodeGroups& t : targets) {
     w.PutU32(t.node);
-    w.PutU32(static_cast<uint32_t>(t.groups.size()));
-    for (GroupId g : t.groups) w.PutU64(g);
+    PutU64s(w, t.groups);
   }
-  PutTrailingShardSections(w, metadata_epoch, replicas, shard_epochs,
-                           lease_holders);
+  PutRoutingSections(w, replicas, shard_epochs, lease_holders);
 }
 Status ResolveSearchResponse::Deserialize(BinaryReader& r,
                                           ResolveSearchResponse& out) {
   uint32_t n = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, kMinNodeGroupsBytes, n));
   out.targets.clear();
+  out.targets.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     NodeGroups t;
     PROPELLER_RETURN_IF_ERROR(r.GetU32(t.node));
-    uint32_t ng = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU32(ng));
-    for (uint32_t j = 0; j < ng; ++j) {
-      GroupId g = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU64(g));
-      t.groups.push_back(g);
-    }
+    PROPELLER_RETURN_IF_ERROR(GetU64s(r, t.groups));
     out.targets.push_back(std::move(t));
   }
-  return GetTrailingShardSections(r, out.metadata_epoch, out.replicas,
-                                  out.shard_epochs, out.lease_holders);
+  return GetRoutingSections(r, out.replicas, out.shard_epochs,
+                            out.lease_holders);
 }
 
 void CreateIndexRequest::Serialize(BinaryWriter& w) const { spec.Serialize(w); }
@@ -276,8 +238,6 @@ Status HeartbeatRequest::Deserialize(BinaryReader& r, HeartbeatRequest& out) {
 }
 
 void HeartbeatResponse::Serialize(BinaryWriter& w) const {
-  // All-default = zero bytes: the legacy empty heartbeat ack.
-  if (num_shards == 0 && index_names.empty() && leases.empty()) return;
   w.PutU32(num_shards);
   w.PutU32(static_cast<uint32_t>(index_names.size()));
   for (const std::string& name : index_names) w.PutString(name);
@@ -287,43 +247,41 @@ void HeartbeatResponse::Serialize(BinaryWriter& w) const {
     w.PutU64(g.epoch);
     w.PutDouble(g.expiry_s);
     w.PutU8(g.has_mirror ? 1 : 0);
-    if (!g.has_mirror) continue;
-    w.PutU32(static_cast<uint32_t>(g.groups.size()));
-    for (const ShardLeaseGrant::GroupPrimary& gp : g.groups) {
-      w.PutU64(gp.group);
-      w.PutU32(gp.node);
-    }
-    w.PutU32(static_cast<uint32_t>(g.replicas.size()));
-    for (const GroupReplicaSet& rs : g.replicas) {
-      w.PutU64(rs.group);
-      w.PutU32(static_cast<uint32_t>(rs.nodes.size()));
-      for (NodeId n : rs.nodes) w.PutU32(n);
-    }
-    w.PutU32(static_cast<uint32_t>(g.files.size()));
-    for (const ShardLeaseGrant::FileGroup& fg : g.files) {
-      w.PutU64(fg.file);
-      w.PutU64(fg.group);
+    if (g.has_mirror) {
+      w.PutU32(static_cast<uint32_t>(g.groups.size()));
+      for (const ShardLeaseGrant::GroupPrimary& gp : g.groups) {
+        w.PutU64(gp.group);
+        w.PutU32(gp.node);
+      }
+      PutReplicaSets(w, g.replicas);
+      w.PutU32(static_cast<uint32_t>(g.files.size()));
+      for (const ShardLeaseGrant::FileGroup& fg : g.files) {
+        w.PutU64(fg.file);
+        w.PutU64(fg.group);
+      }
     }
   }
 }
 Status HeartbeatResponse::Deserialize(BinaryReader& r, HeartbeatResponse& out) {
-  out.num_shards = 0;
-  out.index_names.clear();
-  out.leases.clear();
-  if (r.AtEnd()) return Status::Ok();  // legacy empty ack
   PROPELLER_RETURN_IF_ERROR(r.GetU32(out.num_shards));
+  PROPELLER_RETURN_IF_ERROR(CheckShard(0, out.num_shards));
   uint32_t nn = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(nn));
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, kMinStringBytes, nn));
+  out.index_names.clear();
+  out.index_names.reserve(nn);
   for (uint32_t i = 0; i < nn; ++i) {
     std::string name;
     PROPELLER_RETURN_IF_ERROR(r.GetString(name));
     out.index_names.push_back(std::move(name));
   }
   uint32_t nl = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(nl));
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, kMinLeaseGrantBytes, nl));
+  out.leases.clear();
+  out.leases.reserve(nl);
   for (uint32_t i = 0; i < nl; ++i) {
     ShardLeaseGrant g;
     PROPELLER_RETURN_IF_ERROR(r.GetU32(g.shard));
+    PROPELLER_RETURN_IF_ERROR(CheckShard(g.shard, out.num_shards));
     PROPELLER_RETURN_IF_ERROR(r.GetU64(g.epoch));
     PROPELLER_RETURN_IF_ERROR(r.GetDouble(g.expiry_s));
     uint8_t has_mirror = 0;
@@ -331,29 +289,18 @@ Status HeartbeatResponse::Deserialize(BinaryReader& r, HeartbeatResponse& out) {
     g.has_mirror = has_mirror != 0;
     if (g.has_mirror) {
       uint32_t ng = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU32(ng));
+      PROPELLER_RETURN_IF_ERROR(GetCount(r, kGroupPrimaryBytes, ng));
+      g.groups.reserve(ng);
       for (uint32_t j = 0; j < ng; ++j) {
         ShardLeaseGrant::GroupPrimary gp;
         PROPELLER_RETURN_IF_ERROR(r.GetU64(gp.group));
         PROPELLER_RETURN_IF_ERROR(r.GetU32(gp.node));
         g.groups.push_back(gp);
       }
-      uint32_t nr = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU32(nr));
-      for (uint32_t j = 0; j < nr; ++j) {
-        GroupReplicaSet rs;
-        PROPELLER_RETURN_IF_ERROR(r.GetU64(rs.group));
-        uint32_t nrn = 0;
-        PROPELLER_RETURN_IF_ERROR(r.GetU32(nrn));
-        for (uint32_t k = 0; k < nrn; ++k) {
-          NodeId node = 0;
-          PROPELLER_RETURN_IF_ERROR(r.GetU32(node));
-          rs.nodes.push_back(node);
-        }
-        g.replicas.push_back(std::move(rs));
-      }
+      PROPELLER_RETURN_IF_ERROR(GetReplicaSets(r, g.replicas));
       uint32_t nf = 0;
-      PROPELLER_RETURN_IF_ERROR(r.GetU32(nf));
+      PROPELLER_RETURN_IF_ERROR(GetCount(r, kFileGroupBytes, nf));
+      g.files.reserve(nf);
       for (uint32_t j = 0; j < nf; ++j) {
         ShardLeaseGrant::FileGroup fg;
         PROPELLER_RETURN_IF_ERROR(r.GetU64(fg.file));
@@ -454,47 +401,30 @@ Status StageUpdatesResponse::Deserialize(BinaryReader& r,
 void SearchRequest::Serialize(BinaryWriter& w) const {
   // Hot path: one message per fan-out target; dominated by the group list.
   w.Reserve(4 + groups.size() * 8 + 128);
-  w.PutU32(static_cast<uint32_t>(groups.size()));
-  for (GroupId g : groups) w.PutU64(g);
+  PutU64s(w, groups);
   predicate.Serialize(w);
-  if (arrival_s > 0 || !min_seqs.empty()) {
-    // Floors (or an arrival stamp) imply the epoch field is present (its
-    // value may be 0); the stamp additionally implies the floor list is
-    // present (it may be empty).
-    w.PutU64(epoch);
-    w.PutU32(static_cast<uint32_t>(min_seqs.size()));
-    for (const GroupSeqFloor& f : min_seqs) {
-      w.PutU64(f.group);
-      w.PutU64(f.seq);
-    }
-    if (arrival_s > 0) w.PutDouble(arrival_s);
-  } else {
-    PutTrailingEpoch(w, epoch);
+  w.PutU64(epoch);
+  w.PutU32(static_cast<uint32_t>(min_seqs.size()));
+  for (const GroupSeqFloor& f : min_seqs) {
+    w.PutU64(f.group);
+    w.PutU64(f.seq);
   }
+  w.PutDouble(arrival_s);
 }
 Status SearchRequest::Deserialize(BinaryReader& r, SearchRequest& out) {
-  uint32_t n = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(n));
-  out.groups.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    GroupId g = 0;
-    PROPELLER_RETURN_IF_ERROR(r.GetU64(g));
-    out.groups.push_back(g);
-  }
+  PROPELLER_RETURN_IF_ERROR(GetU64s(r, out.groups));
   PROPELLER_RETURN_IF_ERROR(Predicate::Deserialize(r, out.predicate));
-  PROPELLER_RETURN_IF_ERROR(GetTrailingEpoch(r, out.epoch));
-  out.min_seqs.clear();
-  out.arrival_s = 0;
-  if (r.AtEnd()) return Status::Ok();
+  PROPELLER_RETURN_IF_ERROR(r.GetU64(out.epoch));
   uint32_t nf = 0;
-  PROPELLER_RETURN_IF_ERROR(r.GetU32(nf));
+  PROPELLER_RETURN_IF_ERROR(GetCount(r, kSeqFloorBytes, nf));
+  out.min_seqs.clear();
+  out.min_seqs.reserve(nf);
   for (uint32_t i = 0; i < nf; ++i) {
     GroupSeqFloor f;
     PROPELLER_RETURN_IF_ERROR(r.GetU64(f.group));
     PROPELLER_RETURN_IF_ERROR(r.GetU64(f.seq));
     out.min_seqs.push_back(f);
   }
-  if (r.AtEnd()) return Status::Ok();
   return r.GetDouble(out.arrival_s);
 }
 

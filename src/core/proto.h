@@ -32,42 +32,37 @@ using index::Predicate;
 using net::NodeId;
 
 // ---- epoch convention (read-path caching) ----
-// The master stamps its routing metadata with a monotonically increasing
-// `metadata_epoch` (bumped whenever placement or the catalog changes).
-// Resolve responses carry it so clients can cache placements keyed by
-// epoch, and the cached epoch rides on in.search / in.stage_updates so an
-// Index Node can reject requests for groups it no longer owns with
-// kStaleLocation.  Epoch 0 means "not in use": on resolve responses and
-// in.search it is encoded as *absent* (a trailing field written only when
-// non-zero), keeping those wire bytes — and therefore the simulated
-// transfer costs — bit-identical to the pre-caching protocol whenever the
-// feature is off.  A stage section's epoch is a fixed field (0 = unused).
+// The master stamps its routing metadata with monotonically increasing
+// epochs, one per metadata shard (bumped whenever that shard's placement
+// or the catalog changes; each starts at 1).  Resolve responses always
+// carry the per-shard vector so clients can cache placements keyed by
+// epoch, and a client that caches or replicates stamps the epoch onto
+// in.search / in.stage_updates so an Index Node can reject requests for
+// groups it no longer owns with kStaleLocation.  A stamped epoch of 0
+// means "not in use".  Every message has a fixed layout: each field is
+// always written, and each repeated part is a counted vector.
 
 // ---- replica convention (group replication) ----
 // With ClusterConfig::replication_factor > 1 every group lives on r
 // distinct nodes; nodes[0] is the *primary* (sole journal appender, always
 // in the write quorum) and the rest are secondaries (hedge / failover
-// targets).  Resolve responses carry the per-group replica sets as a
-// trailing section written only when some group is actually replicated, so
-// an unreplicated cluster's wire bytes are unchanged.  Because the section
-// follows the trailing-optional epoch, a sender that writes it always
-// writes the epoch field too (its real value, possibly 0).
+// targets).  Resolve responses carry the replica sets of the groups they
+// name (none when unreplicated).
 struct GroupReplicaSet {
   GroupId group = 0;
   std::vector<NodeId> nodes;  // nodes[0] = primary
 };
 
 // ---- shard convention (sharded master) ----
-// With ClusterConfig::master_shards = N > 1 the master hash-partitions its
-// metadata into N shards: a file belongs to shard ShardOfFile(file, N) and
-// a group allocated by shard s carries id ≡ s + 1 (mod N), so
-// ShardOfGroup inverts the assignment without a lookup.  Each shard keeps
-// its own metadata_epoch; resolve responses then carry a trailing per-shard
-// epoch vector (0 entries = "no statement about that shard") so a client
-// invalidates only the shard whose placement actually changed.  With
-// placement leases on, a second trailing vector names each shard's current
-// lease holder (0 = none) so clients can send resolves to the delegate.
-// Both sections are absent at N = 1 / leases off — wire bytes unchanged.
+// The master hash-partitions its metadata into N = ClusterConfig::
+// master_shards shards (N = 1 is one shard holding everything): a file
+// belongs to shard ShardOfFile(file, N) and a group allocated by shard s
+// carries id ≡ s + 1 (mod N), so ShardOfGroup inverts the assignment
+// without a lookup.  Resolve responses carry N epochs (0 = "no statement
+// about that shard") so a client invalidates only the shard whose
+// placement actually changed.  With placement leases on they also name
+// each shard's current lease holder (0 = none) so clients can send
+// resolves to the delegate; with leases off that vector is empty.
 inline uint32_t ShardOfFile(FileId file, uint32_t num_shards) {
   if (num_shards <= 1) return 0;
   // splitmix64 finalizer: stable across platforms (std::hash is not).
@@ -87,9 +82,9 @@ inline uint32_t ShardOfGroup(GroupId group, uint32_t num_shards) {
 // The master places unknown files and answers (file, group, node) triples.
 struct ResolveUpdateRequest {
   std::vector<FileId> files;
-  // Trailing-optional arrival stamp (open-loop traffic): > 0 carries the
-  // virtual time the op entered the system so the master can model
-  // queueing delay on the owning metadata shard.  Absent when 0.
+  // Arrival stamp (open-loop traffic): > 0 carries the virtual time the op
+  // entered the system so the master can model queueing delay on the
+  // owning metadata shard; 0 = unstamped.
   double arrival_s = 0;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, ResolveUpdateRequest& out);
@@ -101,11 +96,9 @@ struct ResolveUpdateResponse {
     NodeId node = 0;  // the group's primary
   };
   std::vector<Placement> placements;
-  uint64_t metadata_epoch = 0;  // 0 = master not publishing epochs
   // Full replica sets for the groups named above (empty = unreplicated).
   std::vector<GroupReplicaSet> replicas;
-  // Trailing-optional per-shard epochs + lease holders (see shard
-  // convention above); empty at master_shards = 1 / leases off.
+  // Per-shard epochs and lease holders (see shard convention above).
   std::vector<uint64_t> shard_epochs;
   std::vector<NodeId> lease_holders;
   void Serialize(BinaryWriter& w) const;
@@ -117,9 +110,9 @@ struct ResolveUpdateResponse {
 // Empty name = all groups.
 struct ResolveSearchRequest {
   std::string index_name;
-  // Trailing-optional arrival stamp (open-loop traffic): see
-  // ResolveUpdateRequest.  On the sharded master a search resolve reads
-  // every shard, so its queueing delay is the max over the shards.
+  // Arrival stamp (open-loop traffic): see ResolveUpdateRequest.  A search
+  // resolve reads every shard, so its queueing delay is the max over the
+  // shards.
   double arrival_s = 0;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, ResolveSearchRequest& out);
@@ -130,12 +123,10 @@ struct ResolveSearchResponse {
     std::vector<GroupId> groups;
   };
   std::vector<NodeGroups> targets;  // keyed by each group's primary
-  uint64_t metadata_epoch = 0;  // 0 = master not publishing epochs
   // Full replica sets per group (empty = unreplicated); clients hedge
   // slow/failed primary branches to nodes[1].
   std::vector<GroupReplicaSet> replicas;
-  // Trailing-optional per-shard epochs + lease holders (see shard
-  // convention above); empty at master_shards = 1 / leases off.
+  // Per-shard epochs and lease holders (see shard convention above).
   std::vector<uint64_t> shard_epochs;
   std::vector<NodeId> lease_holders;
   void Serialize(BinaryWriter& w) const;
@@ -171,15 +162,14 @@ struct HeartbeatRequest {
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, HeartbeatRequest& out);
 };
-// Heartbeat responses were historically empty acks; with placement leases
-// on, the master rides its lease grants on them.  A grant names a metadata
-// shard the node may answer resolves for until `expiry_s`, and — only when
-// the shard's epoch moved since the last push — a mirror of the shard's
-// routing state (group -> primary, replica sets, file -> group) the node
-// serves those resolves from.  Steady state (no metadata churn) renewals
-// carry no mirror, so the per-heartbeat cost stays near the legacy ack.
-// An all-default response serializes to zero bytes: with leases off the
-// wire is bit-identical to the legacy empty ack.
+// The master answers every heartbeat with a HeartbeatResponse; with
+// placement leases on it rides its lease grants on it (with leases off the
+// response carries zero grants).  A grant names a metadata shard the node
+// may answer resolves for until `expiry_s`, and — only when the shard's
+// mirror version moved since the last push (`has_mirror`) — a mirror of
+// the shard's routing state (group -> primary, replica sets, file ->
+// group) the node serves those resolves from.  Steady-state renewals carry
+// no mirror, so the per-heartbeat cost stays small.
 struct ShardLeaseGrant {
   uint32_t shard = 0;
   uint64_t epoch = 0;   // the mirror's epoch (what delegated answers stamp)
@@ -198,7 +188,7 @@ struct ShardLeaseGrant {
   std::vector<FileGroup> files;            // mirror: file -> group
 };
 struct HeartbeatResponse {
-  uint32_t num_shards = 0;  // 0 = no lease section (legacy empty ack)
+  uint32_t num_shards = 1;  // the master's shard count (>= 1)
   std::vector<std::string> index_names;  // catalog names for delegated checks
   std::vector<ShardLeaseGrant> leases;
   void Serialize(BinaryWriter& w) const;
@@ -274,19 +264,15 @@ struct SearchRequest {
   // Read-your-writes floors (replication): per-group minimum applied
   // commit sequences from the client's primary-acked writes.  A replica
   // whose applied seq is behind a floor answers kStaleReplica instead of
-  // serving stale results.  Trailing-optional: absent when empty (and the
-  // epoch is always written when floors are).
+  // serving stale results.
   struct GroupSeqFloor {
     GroupId group = 0;
     uint64_t seq = 0;
   };
   std::vector<GroupSeqFloor> min_seqs;
-  // Trailing-optional arrival stamp (open-loop traffic): > 0 carries the
-  // virtual time the request entered the system, asking the node to model
-  // queueing delay at its bounded admission queue (kOverloaded on
-  // overflow).  Absent when 0 — unstamped wire bytes are unchanged; when
-  // written, the epoch and min_seqs sections are always written first
-  // (the floor list may be empty).
+  // Arrival stamp (open-loop traffic): > 0 carries the virtual time the
+  // request entered the system, asking the node to model queueing delay at
+  // its bounded admission queue (kOverloaded on overflow); 0 = unstamped.
   double arrival_s = 0;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, SearchRequest& out);

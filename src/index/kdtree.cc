@@ -29,7 +29,12 @@ KdTree::KdTree(sim::PageStore store, size_t dims, KdLayout layout)
 
 uint64_t KdTree::TreeBytes() const { return num_nodes_ * NodeBytes(dims_); }
 
-uint64_t KdTree::NumPages() const { return 1 + TreeBytes() / kPageBytes; }
+uint64_t KdTree::NumPages() const {
+  if (layout_ == KdLayout::kSerialized) {
+    return (TreeBytes() + kPageBytes - 1) / kPageBytes;
+  }
+  return (num_nodes_ + NodesPerPage() - 1) / NodesPerPage();
+}
 
 uint64_t KdTree::NodesPerPage() const {
   return std::max<uint64_t>(1, kPageBytes / NodeBytes(dims_));
@@ -76,8 +81,10 @@ sim::Cost KdTree::Insert(const std::vector<double>& point, FileId file,
   *slot = std::move(node);
   ++num_points_;
   ++num_nodes_;
-  cost += store_.Write(layout_ == KdLayout::kPaged ? (*slot)->page
-                                                   : TreeBytes() / kPageBytes,
+  // Serialized: the page holding the image's new last byte.
+  cost += store_.Write(layout_ == KdLayout::kPaged
+                           ? (*slot)->page
+                           : (TreeBytes() - 1) / kPageBytes,
                        scope);
   cost += sim::Cost(static_cast<double>(visited) * kCpuPerNodeUs / 1e6);
   return cost;

@@ -68,6 +68,8 @@ class KdTree {
 
   size_t dims() const { return dims_; }
   uint64_t NumPoints() const { return num_points_; }
+  // Pages of the on-disk image: every page HomePage can name, 0 when the
+  // tree is empty.
   uint64_t NumPages() const;
   uint32_t Depth() const;
 

@@ -20,6 +20,13 @@ struct StreamParam {
   uint64_t split_threshold;
 };
 
+// gtest (and CTest's test discovery) names each case by this print; without
+// it the name would be the struct's raw bytes, padding included.
+void PrintTo(const StreamParam& p, std::ostream* os) {
+  *os << "s" << p.seed << "_d" << p.deltas << "_f" << p.file_space << "_c"
+      << p.cluster_target << "_t" << p.split_threshold;
+}
+
 class AcgManagerPropertyTest : public ::testing::TestWithParam<StreamParam> {};
 
 // Invariants after any sequence of deltas and split passes:
@@ -126,6 +133,18 @@ TEST(AcgManagerPropertyTest, SplitPreservesMembershipExactly) {
 namespace propeller::core {
 namespace {
 
+// Every proper prefix of a fixed-layout message is missing a field, so
+// each must fail to decode.
+template <typename T>
+void ExpectEveryTruncationFails(const T& msg) {
+  const std::string payload = Encode(msg);
+  ASSERT_TRUE(Decode<T>(payload).ok());
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    auto r = Decode<T>(payload.substr(0, cut));
+    EXPECT_FALSE(r.ok()) << "truncation at " << cut << " decoded";
+  }
+}
+
 // Fuzz: truncations and bit flips of valid payloads must decode to an
 // error (or to a *valid* alternative message), never crash.
 TEST(ProtoFuzzTest, TruncationsNeverCrash) {
@@ -158,12 +177,54 @@ TEST(ProtoFuzzTest, TruncationsNeverCrash) {
   resp.sections = {{StatusCode::kOk, 7},
                    {StatusCode::kStaleLocation, 0},
                    {StatusCode::kOk, 9}};
-  payload = Encode(resp);
-  ASSERT_TRUE(Decode<StageUpdatesResponse>(payload).ok());
-  for (size_t cut = 0; cut < payload.size(); ++cut) {
-    auto r = Decode<StageUpdatesResponse>(payload.substr(0, cut));
-    EXPECT_FALSE(r.ok()) << "truncation at " << cut << " decoded";
-  }
+  ExpectEveryTruncationFails(resp);
+
+  ResolveUpdateRequest ureq;
+  ureq.files = {1, 2, 3};
+  ureq.arrival_s = 0.5;
+  ExpectEveryTruncationFails(ureq);
+
+  ResolveSearchRequest sreq;
+  sreq.index_name = "by_size";
+  ExpectEveryTruncationFails(sreq);
+
+  ResolveUpdateResponse uresp;
+  uresp.placements = {{1, 5, 10}, {2, 6, 11}};
+  uresp.replicas = {GroupReplicaSet{5, {10, 12}}, GroupReplicaSet{6, {11}}};
+  uresp.shard_epochs = {3, 0, 7, 1};
+  uresp.lease_holders = {10, 0, 11, 12};
+  ExpectEveryTruncationFails(uresp);
+
+  ResolveSearchResponse sresp;
+  sresp.targets = {{10, {5, 9}}, {11, {6}}};
+  sresp.replicas = {GroupReplicaSet{5, {10, 11}}};
+  sresp.shard_epochs = {4, 2};
+  sresp.lease_holders = {11, 10};
+  ExpectEveryTruncationFails(sresp);
+
+  SearchRequest search;
+  search.groups = {5, 9};
+  search.predicate.And("size", index::CmpOp::kGt, index::AttrValue(int64_t{1}));
+  search.epoch = 3;
+  search.min_seqs = {{5, 11}, {9, 2}};
+  search.arrival_s = 1.25;
+  ExpectEveryTruncationFails(search);
+
+  HeartbeatResponse hb;
+  hb.num_shards = 4;
+  hb.index_names = {"by_size", "by_owner"};
+  ShardLeaseGrant renewal;
+  renewal.shard = 1;
+  renewal.epoch = 2;
+  renewal.expiry_s = 3.5;
+  ShardLeaseGrant fresh = renewal;
+  fresh.shard = 3;
+  fresh.has_mirror = true;
+  fresh.groups = {{4, 10}};
+  fresh.replicas = {GroupReplicaSet{4, {10, 11}}};
+  fresh.files = {{100, 4}, {101, 4}};
+  hb.leases = {renewal, fresh};
+  ExpectEveryTruncationFails(hb);
 }
 
 // A count the remaining bytes cannot hold is rejected before anything is
@@ -197,6 +258,150 @@ TEST(ProtoFuzzTest, OversizedCountsAreRejectedBeforeAllocating) {
     w.PutU8(0);
     w.PutU64(1);
     EXPECT_FALSE(Decode<StageUpdatesResponse>(w.data()).ok());
+  }
+  // Each counted vector of the resolve, search and heartbeat messages:
+  // every field before the count is valid, the count claims 2^32-1
+  // elements, and a single element's worth of bytes follows.
+  auto rejected = [](auto decode, BinaryWriter& w, const char* what) {
+    w.PutU64(1);
+    w.PutU32(1);
+    EXPECT_FALSE(decode(w.data())) << what;
+  };
+  auto update_req = [](const std::string& b) {
+    return Decode<ResolveUpdateRequest>(b).ok();
+  };
+  auto update_resp = [](const std::string& b) {
+    return Decode<ResolveUpdateResponse>(b).ok();
+  };
+  auto search_resp = [](const std::string& b) {
+    return Decode<ResolveSearchResponse>(b).ok();
+  };
+  auto search_req = [](const std::string& b) {
+    return Decode<SearchRequest>(b).ok();
+  };
+  auto heartbeat = [](const std::string& b) {
+    return Decode<HeartbeatResponse>(b).ok();
+  };
+  {
+    BinaryWriter w;
+    w.PutU32(kHuge);
+    rejected(update_req, w, "resolve request files");
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(kHuge);
+    rejected(update_resp, w, "placements");
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(kHuge);
+    rejected(search_resp, w, "targets");
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(1);
+    w.PutU32(10);
+    w.PutU32(kHuge);
+    rejected(search_resp, w, "target groups");
+  }
+  // The routing sections both resolve responses share, after an empty
+  // placement / target list.
+  for (auto decode : {+update_resp, +search_resp}) {
+    {
+      BinaryWriter w;
+      w.PutU32(0);
+      w.PutU32(kHuge);
+      rejected(decode, w, "replica sets");
+    }
+    {
+      BinaryWriter w;
+      w.PutU32(0);
+      w.PutU32(1);
+      w.PutU64(5);
+      w.PutU32(kHuge);
+      rejected(decode, w, "replica nodes");
+    }
+    {
+      BinaryWriter w;
+      w.PutU32(0);
+      w.PutU32(0);
+      w.PutU32(kHuge);
+      rejected(decode, w, "shard epochs");
+    }
+    {
+      BinaryWriter w;
+      w.PutU32(0);
+      w.PutU32(0);
+      w.PutU32(0);
+      w.PutU32(kHuge);
+      rejected(decode, w, "lease holders");
+    }
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(kHuge);
+    rejected(search_req, w, "search groups");
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(0);
+    Predicate().Serialize(w);
+    w.PutU64(0);
+    w.PutU32(kHuge);
+    rejected(search_req, w, "read-your-writes floors");
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(1);
+    w.PutU32(kHuge);
+    rejected(heartbeat, w, "index names");
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(1);
+    w.PutU32(0);
+    w.PutU32(kHuge);
+    rejected(heartbeat, w, "leases");
+  }
+  // One grant with a mirror: shard 0, epoch, expiry, has_mirror = 1.
+  auto mirror_grant = [](BinaryWriter& w) {
+    w.PutU32(1);
+    w.PutU32(0);
+    w.PutU32(1);
+    w.PutU32(0);
+    w.PutU64(1);
+    w.PutDouble(2.0);
+    w.PutU8(1);
+  };
+  {
+    BinaryWriter w;
+    mirror_grant(w);
+    w.PutU32(kHuge);
+    rejected(heartbeat, w, "mirror groups");
+  }
+  {
+    BinaryWriter w;
+    mirror_grant(w);
+    w.PutU32(0);
+    w.PutU32(kHuge);
+    rejected(heartbeat, w, "mirror replica sets");
+  }
+  {
+    BinaryWriter w;
+    mirror_grant(w);
+    w.PutU32(0);
+    w.PutU32(1);
+    w.PutU64(4);
+    w.PutU32(kHuge);
+    rejected(heartbeat, w, "mirror replica nodes");
+  }
+  {
+    BinaryWriter w;
+    mirror_grant(w);
+    w.PutU32(0);
+    w.PutU32(0);
+    w.PutU32(kHuge);
+    rejected(heartbeat, w, "mirror files");
   }
   {
     // The exact bound still decodes: two empty sections in 42 bytes.

@@ -25,6 +25,13 @@ struct SoakParam {
   uint64_t split_threshold;
 };
 
+// gtest (and CTest's test discovery) names each case by this print; without
+// it the name would be the struct's raw bytes, padding included.
+void PrintTo(const SoakParam& p, std::ostream* os) {
+  *os << "s" << p.seed << "_r" << p.rounds << "_f" << p.file_space << "_t"
+      << p.split_threshold;
+}
+
 class ClusterSoakTest : public ::testing::TestWithParam<SoakParam> {};
 
 TEST_P(ClusterSoakTest, SearchAlwaysMatchesModel) {

@@ -241,33 +241,55 @@ TEST_F(KdTreeTest, SortedInsertsTriggerRebuildAndRebalance) {
   EXPECT_FALSE(t.NeedsRebuild());
 }
 
-// A serialized node lives on its byte offset's page, so nothing the tree
-// writes lies past its image: no page at or beyond NumPages() is ever
-// cached, through seeded inserts, removes of new and old points, and
-// rebuilds.
+// A node lives on the page HomePage names — its byte offset's page in the
+// serialized image, its whole-node slot's page in the paged one — so
+// nothing the tree writes lies past its image: in both layouts no page at
+// or beyond NumPages() is ever cached, through seeded inserts, removes of
+// new and old points, and rebuilds.
 TEST_F(KdTreeTest, SerializedNodesLieInsideTheImage) {
-  const size_t dims = 3;
-  sim::PageStore store = io_.CreateStore();
-  KdTree t(store, dims);
-  Rng rng(31);
-  std::vector<std::vector<double>> points;
-  auto outside_image = [&]() {
-    for (uint64_t p = t.NumPages(); p < t.NumPages() + 4; ++p) {
-      if (io_.IsCached(sim::PageId{store.id(), p})) return p;
+  for (KdLayout layout : {KdLayout::kSerialized, KdLayout::kPaged}) {
+    SCOPED_TRACE(layout == KdLayout::kSerialized ? "serialized" : "paged");
+    const size_t dims = 3;
+    sim::PageStore store = io_.CreateStore();
+    KdTree t(store, dims, layout);
+    Rng rng(31);
+    std::vector<std::vector<double>> points;
+    auto outside_image = [&]() {
+      for (uint64_t p = t.NumPages(); p < t.NumPages() + 4; ++p) {
+        if (io_.IsCached(sim::PageId{store.id(), p})) return p;
+      }
+      return uint64_t{0};
+    };
+    for (FileId f = 0; f < 2500; ++f) {
+      std::vector<double> p(dims);
+      for (auto& x : p) x = static_cast<double>(rng.UniformInt(0, 100));
+      t.Insert(p, f);
+      points.push_back(p);
+      // Remove the newest point (the image's tail) and a random older one.
+      if (f % 3 == 0) t.Remove(points[f], f);
+      const auto old = static_cast<FileId>(rng.Uniform(f + 1));
+      if (f % 5 == 0) t.Remove(points[old], old);
+      if (f % 700 == 699) t.Rebuild();
+      ASSERT_EQ(outside_image(), 0u) << "after point " << f;
     }
-    return uint64_t{0};
-  };
-  for (FileId f = 0; f < 2500; ++f) {
-    std::vector<double> p(dims);
-    for (auto& x : p) x = static_cast<double>(rng.UniformInt(0, 100));
-    t.Insert(p, f);
-    points.push_back(p);
-    // Remove the newest point (the image's tail) and a random older one.
-    if (f % 3 == 0) t.Remove(points[f], f);
-    const auto old = static_cast<FileId>(rng.Uniform(f + 1));
-    if (f % 5 == 0) t.Remove(points[old], old);
-    if (f % 700 == 699) t.Rebuild();
-    ASSERT_EQ(outside_image(), 0u) << "after point " << f;
+  }
+}
+
+// An empty tree's image has no pages, so loading it costs nothing: the
+// first search or insert of a new group pays no seek for a page no write
+// created.  One point fills exactly one page.
+TEST_F(KdTreeTest, EmptyImageLoadsForFree) {
+  for (KdLayout layout : {KdLayout::kSerialized, KdLayout::kPaged}) {
+    SCOPED_TRACE(layout == KdLayout::kSerialized ? "serialized" : "paged");
+    KdTree t(io_.CreateStore(), 2, layout);
+    EXPECT_EQ(t.NumPages(), 0u);
+    auto empty = t.RangeQuery(KdBox::Unbounded(2));
+    EXPECT_TRUE(empty.files.empty());
+    EXPECT_EQ(empty.cost.seconds(), 0.0);
+    // The first insert only writes (allocates) the image's first page.
+    const sim::Cost first = t.Insert({1.0, 2.0}, 7);
+    EXPECT_LT(first.seconds(), io_.disk().RandomPageAccess().seconds());
+    EXPECT_EQ(t.NumPages(), 1u);
   }
 }
 

@@ -161,14 +161,14 @@ TEST(ProtoTest, SearchRequestArrivalStampRoundTrips) {
   ASSERT_EQ(out->min_seqs.size(), 1u);
   EXPECT_EQ(out->min_seqs[0].seq, 11u);
 
-  // Unstamped: the field is absent from the wire (not a zero), so legacy
-  // traffic is byte-identical with the feature unused.
+  // Unstamped: the fixed slot carries 0, so a stamp never changes the
+  // message length (or its transfer cost).
   core::SearchRequest plain;
   plain.groups = {7, 9};
   plain.predicate.And("size", CmpOp::kGe, AttrValue(int64_t{42}));
   core::SearchRequest stamped = plain;
   stamped.arrival_s = 0.25;
-  EXPECT_LT(core::Encode(plain).size(), core::Encode(stamped).size());
+  EXPECT_EQ(core::Encode(plain).size(), core::Encode(stamped).size());
   auto back = core::Decode<core::SearchRequest>(core::Encode(plain));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->arrival_s, 0.0);

@@ -1,6 +1,6 @@
 // Byte-exact roundtrip coverage for every wire message in core/proto.h:
 // encode -> decode -> re-encode must reproduce the original bytes, for
-// each trailing-optional section both present and absent.  Together with
+// every counted section both empty and filled.  Together with
 // the propeller_analyze wire pass (encode/decode symmetry + golden
 // schema) this pins the wire format: the analyzer proves the structure,
 // this test proves the bytes.
@@ -55,27 +55,31 @@ TEST(ProtoRoundtrip, ResolveUpdateRequest) {
   ResolveUpdateRequest req;
   req.files = {1, 2, 3};
   ExpectRoundtrip(req);
+  req.arrival_s = 2.5;
+  ExpectRoundtrip(req);
 }
 
 TEST(ProtoRoundtrip, ResolveUpdateResponse) {
   ResolveUpdateResponse resp;
   resp.placements.push_back({/*file=*/7, /*group=*/3, /*node=*/1});
-  ExpectRoundtrip(resp);  // both trailing sections absent
+  ExpectRoundtrip(resp);  // every vector after the placements empty
 
-  resp.metadata_epoch = 12;
-  ExpectRoundtrip(resp);  // epoch only
+  resp.shard_epochs = {12};
+  ExpectRoundtrip(resp);  // one shard
 
   resp.replicas.push_back(GroupReplicaSet{3, {1, 2}});
-  ExpectRoundtrip(resp);  // epoch + replica sets
+  resp.shard_epochs = {12, 0, 4, 9};
+  ExpectRoundtrip(resp);  // replica sets, four shards
 
-  // Replica sets force the epoch field onto the wire even at value 0.
-  resp.metadata_epoch = 0;
-  ExpectRoundtrip(resp);
+  resp.lease_holders = {10, 0, 11, 10};
+  ExpectRoundtrip(resp);  // with lease holders
 }
 
 TEST(ProtoRoundtrip, ResolveSearchRequest) {
   ResolveSearchRequest req;
   req.index_name = "by_size";
+  ExpectRoundtrip(req);
+  req.arrival_s = 0.75;
   ExpectRoundtrip(req);
 }
 
@@ -87,10 +91,11 @@ TEST(ProtoRoundtrip, ResolveSearchResponse) {
   resp.targets.push_back(t);
   ExpectRoundtrip(resp);
 
-  resp.metadata_epoch = 5;
+  resp.shard_epochs = {5};
   ExpectRoundtrip(resp);
 
   resp.replicas.push_back(GroupReplicaSet{10, {2, 3, 4}});
+  resp.lease_holders = {3};
   ExpectRoundtrip(resp);
 }
 
@@ -114,6 +119,38 @@ TEST(ProtoRoundtrip, HeartbeatRequest) {
   req.now_s = 12.5;
   req.groups.push_back({/*group=*/9, /*files=*/100, /*pages=*/7});
   ExpectRoundtrip(req);
+}
+
+TEST(ProtoRoundtrip, HeartbeatResponse) {
+  HeartbeatResponse resp;
+  resp.num_shards = 4;
+  ExpectRoundtrip(resp);  // leases off: zero grants
+
+  resp.index_names = {"by_size", "by_owner"};
+  ShardLeaseGrant renewal;
+  renewal.shard = 1;
+  renewal.epoch = 7;
+  renewal.expiry_s = 4.0;
+  resp.leases.push_back(renewal);
+  ShardLeaseGrant fresh = renewal;
+  fresh.shard = 3;
+  fresh.has_mirror = true;
+  fresh.groups = {{4, 10}, {8, 11}};
+  fresh.replicas = {GroupReplicaSet{4, {10, 12}}};
+  fresh.files = {{100, 4}, {101, 8}};
+  resp.leases.push_back(fresh);
+  ExpectRoundtrip(resp);  // a renewal without mirror, a grant with one
+}
+
+TEST(ProtoRoundtrip, HeartbeatResponseRejectsUnknownShards) {
+  HeartbeatResponse resp;
+  resp.num_shards = 2;
+  resp.leases.resize(1);
+  resp.leases[0].shard = 2;
+  EXPECT_FALSE(Decode<HeartbeatResponse>(Encode(resp)).ok());
+  resp.leases.clear();
+  resp.num_shards = 0;
+  EXPECT_FALSE(Decode<HeartbeatResponse>(Encode(resp)).ok());
 }
 
 TEST(ProtoRoundtrip, CreateGroupRequest) {
@@ -186,20 +223,18 @@ TEST(ProtoRoundtrip, SearchRequestTrailingSections) {
   SearchRequest req;
   req.groups = {1, 2};
   req.predicate.And("size", index::CmpOp::kGe, index::AttrValue(int64_t{1024}));
-  ExpectRoundtrip(req);  // legacy wire: no epoch/floors/arrival bytes
+  ExpectRoundtrip(req);  // zero epoch, no floors, unstamped
 
   req.epoch = 4;
-  ExpectRoundtrip(req);  // epoch section only
+  ExpectRoundtrip(req);
 
   req.min_seqs.push_back({/*group=*/1, /*seq=*/10});
   req.min_seqs.push_back({/*group=*/2, /*seq=*/20});
-  ExpectRoundtrip(req);  // floors imply epoch
+  ExpectRoundtrip(req);
 
   req.arrival_s = 3.25;
-  ExpectRoundtrip(req);  // arrival implies floors (possibly empty) + epoch
+  ExpectRoundtrip(req);
 
-  // Arrival with no floors and epoch 0: both earlier sections still
-  // written (empty list / zero epoch).
   req.min_seqs.clear();
   req.epoch = 0;
   ExpectRoundtrip(req);
@@ -273,17 +308,57 @@ TEST(ProtoRoundtrip, ResetNodeRequest) {
   ExpectRoundtrip(ResetNodeRequest{});
 }
 
-// The feature-off wire bytes must be identical to a message that never
-// had the trailing fields: epoch 0 / arrival 0 encodes to exactly the same
-// bytes as the pre-feature struct.
-TEST(ProtoRoundtrip, TrailingOptionalAbsenceIsByteIdentical) {
-  SearchRequest s;
-  s.groups = {1};
-  std::string s_legacy = EncodeBytes(s);
-  SearchRequest s_defaults = s;
-  s_defaults.epoch = 0;
-  s_defaults.arrival_s = 0;
-  EXPECT_EQ(s_legacy, EncodeBytes(s_defaults));
+// Every field has a fixed slot: what a feature stamps changes values, never
+// the layout.  A message's length depends only on its vector sizes (and
+// strings), so the simulated transfer cost of a request does not depend on
+// which features are on.
+TEST(ProtoRoundtrip, FixedLayoutsDoNotDependOnFeatures) {
+  SearchRequest plain;
+  plain.groups = {1, 2, 3};
+  plain.predicate.And("size", index::CmpOp::kGt, index::AttrValue(int64_t{5}));
+  SearchRequest stamped = plain;
+  stamped.epoch = 42;
+  stamped.arrival_s = 1.5;
+  EXPECT_EQ(EncodeBytes(plain).size(), EncodeBytes(stamped).size());
+  auto decoded = Decode<SearchRequest>(EncodeBytes(stamped));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->epoch, 42u);
+  EXPECT_EQ(decoded->arrival_s, 1.5);
+  EXPECT_EQ(decoded->groups, plain.groups);
+
+  ResolveUpdateRequest ureq;
+  ureq.files = {1, 2};
+  ResolveUpdateRequest ureq_stamped = ureq;
+  ureq_stamped.arrival_s = 9.0;
+  EXPECT_EQ(EncodeBytes(ureq).size(), EncodeBytes(ureq_stamped).size());
+
+  // A resolve response: 4 (count) + 20 per placement, then the replica
+  // sets (4 + 12 per set + 4 per node), then 4 + 8 per shard epoch and
+  // 4 + 4 per lease holder, whatever the values.
+  auto update_bytes = [](size_t placements, size_t sets, size_t nodes,
+                         size_t shards, size_t holders) {
+    return 4 + 20 * placements + 4 + 12 * sets + 4 * nodes + 4 + 8 * shards +
+           4 + 4 * holders;
+  };
+  ResolveUpdateResponse uresp;
+  EXPECT_EQ(EncodeBytes(uresp).size(), update_bytes(0, 0, 0, 0, 0));
+  uresp.placements.push_back({7, 3, 10});
+  uresp.shard_epochs = {0};
+  EXPECT_EQ(EncodeBytes(uresp).size(), update_bytes(1, 0, 0, 1, 0));
+  uresp.shard_epochs = {~uint64_t{0}};
+  EXPECT_EQ(EncodeBytes(uresp).size(), update_bytes(1, 0, 0, 1, 0));
+  uresp.shard_epochs = {1, 2, 3, 4};
+  uresp.replicas.push_back(GroupReplicaSet{3, {10, 11}});
+  uresp.lease_holders = {10, 0, 0, 12};
+  EXPECT_EQ(EncodeBytes(uresp).size(), update_bytes(1, 1, 2, 4, 4));
+
+  ResolveSearchResponse sresp;
+  sresp.targets.push_back({10, {1, 2}});
+  sresp.shard_epochs = {5};
+  const size_t search_len = EncodeBytes(sresp).size();
+  EXPECT_EQ(search_len, 4 + (4 + 4 + 2 * 8) + 4 + (4 + 8) + 4);
+  sresp.shard_epochs = {0};
+  EXPECT_EQ(EncodeBytes(sresp).size(), search_len);
 }
 
 }  // namespace

@@ -77,28 +77,29 @@ uint64_t ClientCounter(PropellerClient& client, const std::string& k) {
   return it == snap.counters.end() ? 0 : it->second;
 }
 
-// --- 1. wire compatibility -------------------------------------------------
+// --- 1. wire format ---------------------------------------------------------
 
-TEST(ReadPathProtoTest, TrailingEpochIsAbsentWhenZero) {
+TEST(ReadPathProtoTest, ZeroEpochKeepsItsSlot) {
   SearchRequest req;
   req.groups = {1, 2, 3};
   req.predicate.And("size", index::CmpOp::kGt, index::AttrValue(int64_t{5}));
 
-  const std::string without = Encode(req);
+  const std::string unstamped = Encode(req);
   req.epoch = 42;
-  const std::string with = Encode(req);
-  // Epoch 0 writes nothing: the pre-epoch wire format, byte for byte (and
-  // the same simulated transport charge).
-  EXPECT_LT(without.size(), with.size());
+  const std::string stamped = Encode(req);
+  // Epoch 0 ("not stamped") is written like any other value: the same
+  // length, so the same simulated transport charge.
+  EXPECT_EQ(unstamped.size(), stamped.size());
 
-  auto decoded_old = Decode<SearchRequest>(without);
-  ASSERT_TRUE(decoded_old.ok());
-  EXPECT_EQ(decoded_old->epoch, 0u);
-  EXPECT_EQ(decoded_old->groups, req.groups);
+  auto decoded_unstamped = Decode<SearchRequest>(unstamped);
+  ASSERT_TRUE(decoded_unstamped.ok());
+  EXPECT_EQ(decoded_unstamped->epoch, 0u);
+  EXPECT_EQ(decoded_unstamped->groups, req.groups);
 
-  auto decoded_new = Decode<SearchRequest>(with);
-  ASSERT_TRUE(decoded_new.ok());
-  EXPECT_EQ(decoded_new->epoch, 42u);
+  auto decoded_stamped = Decode<SearchRequest>(stamped);
+  ASSERT_TRUE(decoded_stamped.ok());
+  EXPECT_EQ(decoded_stamped->epoch, 42u);
+  EXPECT_EQ(decoded_stamped->groups, req.groups);
 }
 
 TEST(ReadPathProtoTest, AllEpochCarryingMessagesRoundTrip) {
@@ -121,19 +122,19 @@ TEST(ReadPathProtoTest, AllEpochCarryingMessagesRoundTrip) {
   {
     ResolveSearchResponse resp;
     resp.targets.push_back({10, {1, 2}});
-    resp.metadata_epoch = 3;
+    resp.shard_epochs = {3};
     auto rt = Decode<ResolveSearchResponse>(Encode(resp));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->metadata_epoch, 3u);
+    EXPECT_EQ(rt->shard_epochs, (std::vector<uint64_t>{3}));
     ASSERT_EQ(rt->targets.size(), 1u);
     EXPECT_EQ(rt->targets[0].groups, (std::vector<GroupId>{1, 2}));
   }
   {
     ResolveUpdateResponse resp;
-    resp.metadata_epoch = 11;
+    resp.shard_epochs = {11};
     auto rt = Decode<ResolveUpdateResponse>(Encode(resp));
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->metadata_epoch, 11u);
+    EXPECT_EQ(rt->shard_epochs, (std::vector<uint64_t>{11}));
   }
 }
 

@@ -96,7 +96,7 @@ std::set<GroupId> AllGroups(PropellerCluster& cluster) {
   return groups;
 }
 
-// --- 1. wire compatibility -------------------------------------------------
+// --- 1. wire format ---------------------------------------------------------
 
 TEST(ReplicationProtoTest, ReplicaSectionsAreAbsentWhenOff) {
   {
@@ -111,7 +111,6 @@ TEST(ReplicationProtoTest, ReplicaSectionsAreAbsentWhenOff) {
     auto plain = Decode<ResolveSearchResponse>(without);
     ASSERT_TRUE(plain.ok());
     EXPECT_TRUE(plain->replicas.empty());
-    EXPECT_EQ(plain->metadata_epoch, 0u);
 
     auto rt = Decode<ResolveSearchResponse>(with);
     ASSERT_TRUE(rt.ok());
@@ -119,21 +118,19 @@ TEST(ReplicationProtoTest, ReplicaSectionsAreAbsentWhenOff) {
     EXPECT_EQ(rt->replicas[0].group, 1u);
     EXPECT_EQ(rt->replicas[0].nodes, (std::vector<NodeId>{10, 11}));
     EXPECT_EQ(rt->replicas[1].nodes, (std::vector<NodeId>{11, 10}));
-    // The replica section follows the epoch slot, so writing it forces the
-    // epoch on the wire even at its zero value — and it must round-trip.
-    EXPECT_EQ(rt->metadata_epoch, 0u);
   }
   {
     ResolveUpdateResponse resp;
     resp.placements.push_back({7, 1, 10});
+    resp.shard_epochs = {5};
     const std::string without = Encode(resp);
-    resp.metadata_epoch = 5;
     resp.replicas.push_back({1, {10, 12}});
     const std::string with = Encode(resp);
-    EXPECT_LT(without.size(), with.size());
+    // The replica set adds its group, count and nodes: 8 + 4 + 2 * 4.
+    EXPECT_EQ(with.size(), without.size() + 20);
     auto rt = Decode<ResolveUpdateResponse>(with);
     ASSERT_TRUE(rt.ok());
-    EXPECT_EQ(rt->metadata_epoch, 5u);
+    EXPECT_EQ(rt->shard_epochs, (std::vector<uint64_t>{5}));
     ASSERT_EQ(rt->replicas.size(), 1u);
     EXPECT_EQ(rt->replicas[0].nodes, (std::vector<NodeId>{10, 12}));
   }
@@ -415,7 +412,7 @@ TEST(ReplicationTest, HedgeFiresOnStragglerAndAccountingBalances) {
 
 // --- 6. off-mode bit-identity ------------------------------------------------
 
-TEST(ReplicationTest, FactorOneStaysOnTheLegacyWireFormat) {
+TEST(ReplicationTest, FactorOneRunsNoReplicationMachinery) {
   auto cluster = MakeLoadedCluster(MakeConfig(/*replication_factor=*/1));
   auto parsed = ParseQuery(kQuery, 1'000'000);
   ASSERT_TRUE(parsed.ok());
@@ -427,18 +424,6 @@ TEST(ReplicationTest, FactorOneStaysOnTheLegacyWireFormat) {
   EXPECT_EQ(
       ClientCounter(cluster->client(), "client.search.stale_replica_retries"),
       0u);
-
-  // Resolve responses carry no replica section: re-encoding the decoded
-  // response reproduces the wire bytes exactly, so nothing extra rode
-  // along.
-  ResolveSearchRequest rreq;
-  auto rcall = cluster->transport().Call(100, PropellerCluster::kMasterId,
-                                         "mn.resolve_search", Encode(rreq));
-  ASSERT_TRUE(rcall.status.ok());
-  auto decoded = Decode<ResolveSearchResponse>(rcall.payload);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->replicas.empty());
-  EXPECT_EQ(Encode(*decoded), rcall.payload);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 // The extractor understands the idioms proto.cc restricts itself to:
 // straight-line Put/Get calls, counted and range-for loops, if/else-if
 // trailing sections, `if (r.AtEnd()) return` guards, free helper
-// functions (PutTrailingEpoch & co), PROPELLER_RETURN_IF_ERROR, and
+// functions (PutU64s & co), PROPELLER_RETURN_IF_ERROR, and
 // nested `x.Serialize(w)` / `T::Deserialize(r, x)` messages.
 #include "analyze.h"
 
