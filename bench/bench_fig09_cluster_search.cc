@@ -167,19 +167,19 @@ void SerialVsParallelComparison() {
       std::thread::hardware_concurrency());
 }
 
-// Read-path caching (ClusterConfig::read_path_caching) on warm repeated
-// searches: with caching on, the per-search resolve RPC amortizes to zero
-// (the client reuses its epoch-stamped placement cache) and every group
-// answers repeats from its result memo.  Results must match exactly; the
+// The per-group result memo (index_node.result_cache) on warm repeated
+// searches: with it on, every group answers repeats from its memo.  Both
+// arms reuse the client's epoch-stamped placement cache, so the resolve
+// RPC amortizes to zero in each.  Results must match exactly; the
 // returned key/value pairs land in BENCH_fig09.json.
-std::vector<std::pair<std::string, double>> ReadPathCachingComparison() {
+std::vector<std::pair<std::string, double>> ResultMemoComparison() {
   std::vector<std::pair<std::string, double>> results;
   const int kNodes = 4;
   const uint64_t files = bench::Scaled(64'000);
-  auto build = [&](bool caching) {
+  auto build = [&](bool memo) {
     core::ClusterConfig cfg;
     cfg.index_nodes = kNodes;
-    cfg.read_path_caching = caching;
+    cfg.index_node.result_cache = memo;
     cfg.master.acg_policy.cluster_target = files / kNodes;
     cfg.master.acg_policy.merge_limit = files / kNodes;
     cfg.index_node.io.cache_pages = 1u << 20;
@@ -200,8 +200,9 @@ std::vector<std::pair<std::string, double>> ReadPathCachingComparison() {
   auto off = build(false);
   auto on = build(true);
 
-  std::printf("--- Read-path caching on warm repeated searches (%d nodes) ---\n",
-              kNodes);
+  std::printf(
+      "--- Group result memo on warm repeated searches (%d nodes) ---\n",
+      kNodes);
   auto query = core::ParseQuery("size>16m", 1'000'000);
   auto resolve_calls = [](core::PropellerCluster& c) {
     auto snap = c.master().MetricsSnapshot();
@@ -232,7 +233,7 @@ std::vector<std::pair<std::string, double>> ReadPathCachingComparison() {
   std::vector<index::FileId> off_files, on_files;
   if (!measure(*off, &off_s, &off_resolves, &off_files) ||
       !measure(*on, &on_s, &on_resolves, &on_files)) {
-    std::printf("caching comparison search failed\n");
+    std::printf("result memo comparison search failed\n");
     return results;
   }
   auto on_stats = on->Stats();
@@ -241,18 +242,18 @@ std::vector<std::pair<std::string, double>> ReadPathCachingComparison() {
   const double misses =
       static_cast<double>(on_stats.metrics.counters["in.result_cache.misses"]);
   std::printf(
-      "simulated warm latency: caching off %s, on %s (%.2fx); results %s\n",
+      "simulated warm latency: memo off %s, on %s (%.2fx); results %s\n",
       bench::Secs(off_s).c_str(), bench::Secs(on_s).c_str(), off_s / on_s,
       off_files == on_files ? "match" : "MISMATCH");
   std::printf(
       "resolve RPCs per warm search: off %.2f, on %.2f; group result-cache "
       "hit rate %.1f%%\n\n",
       off_resolves, on_resolves, 100.0 * hits / std::max(1.0, hits + misses));
-  results = {{"caching_off_warm_s", off_s},
-             {"caching_on_warm_s", on_s},
-             {"caching_warm_speedup", off_s / on_s},
-             {"caching_off_resolves_per_search", off_resolves},
-             {"caching_on_resolves_per_search", on_resolves},
+  results = {{"memo_off_warm_s", off_s},
+             {"memo_on_warm_s", on_s},
+             {"memo_warm_speedup", off_s / on_s},
+             {"memo_off_resolves_per_search", off_resolves},
+             {"memo_on_resolves_per_search", on_resolves},
              {"result_cache_hit_rate",
               hits / std::max(1.0, hits + misses)},
              {"results_match", off_files == on_files ? 1.0 : 0.0}};
@@ -428,8 +429,8 @@ int main() {
       "machine; the other columns are simulated time from the cost "
       "model.)\n\n");
   SerialVsParallelComparison();
-  auto caching = ReadPathCachingComparison();
-  json.insert(json.end(), caching.begin(), caching.end());
+  auto memo = ResultMemoComparison();
+  json.insert(json.end(), memo.begin(), memo.end());
   auto tail = TailLatencyComparison();
   json.insert(json.end(), tail.begin(), tail.end());
   bench::WriteBenchJson("fig09", json);

@@ -12,9 +12,11 @@
 //
 //  (b) Leases: an end-to-end cluster runs the same steady-state loop
 //      (repeat updates + searches of known files) with placement leases
-//      on and off.  With leases the index-node delegates answer every
-//      resolve and the master's resolve-RPC count stays flat (~0 per op);
-//      without them every op lands on the master.
+//      on and off.  Every client caches placements, so in both arms the
+//      steady state sends no resolve at all: the master's count moves
+//      only for the loop's first search, a cache miss the client sends to
+//      the master because no master answer has named the lease holders
+//      yet.  Delegation answers cache misses only.
 #include <algorithm>
 #include <cstdio>
 #include <vector>

@@ -119,52 +119,62 @@ PropellerClient::PropellerClient(NodeId id, net::Transport* transport,
       update_latency_(&metrics_.GetHistogram("client.batch_update.latency_s")),
       branch_latency_(&metrics_.GetHistogram("client.search.branch_latency_s")) {
   MutexLock lock(cache_mu_);
-  search_shard_epochs_.assign(NumShards(), 0);
-  file_shard_epochs_.assign(NumShards(), 0);
+  cache_epochs_.assign(NumShards(), 0);
+}
+
+std::vector<char> PropellerClient::AdvanceEpochsLocked(
+    const std::vector<uint64_t>& eps) {
+  const uint32_t n = NumShards();
+  std::vector<char> current(n, 0);
+  std::vector<char> raised(n, 0);
+  bool any_raised = false;
+  for (uint32_t s = 0; s < n; ++s) {
+    if (eps[s] == 0 || eps[s] < cache_epochs_[s]) continue;
+    current[s] = 1;
+    if (eps[s] > cache_epochs_[s]) {
+      cache_epochs_[s] = eps[s];
+      raised[s] = 1;
+      any_raised = true;
+    }
+  }
+  if (any_raised) {
+    // The placement moved on: cached target lists may predate a group made
+    // since (by this client's own writes, too), and a raised shard's file
+    // placements may have merged, split or moved.
+    search_cache_.clear();
+    for (auto it = file_cache_.begin(); it != file_cache_.end();) {
+      if (raised[ShardOfFile(it->first, n)] != 0) {
+        it = file_cache_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  return current;
 }
 
 bool PropellerClient::LookupSearchTargets(const std::string& index_name,
-                                          ResolveSearchResponse* targets,
-                                          uint64_t* epoch) {
+                                          ResolveSearchResponse* targets) {
   MutexLock lock(cache_mu_);
   auto it = search_cache_.find(index_name);
   if (it == search_cache_.end()) return false;
   *targets = it->second;
-  *epoch = 0;
-  for (uint64_t e : search_shard_epochs_) *epoch = std::max(*epoch, e);
   return true;
 }
 
 void PropellerClient::StoreSearchTargets(const std::string& index_name,
                                          const ResolveSearchResponse& resp) {
-  const std::vector<uint64_t>& eps = resp.shard_epochs;
   MutexLock lock(cache_mu_);
-  // Per-shard freshness: a response older than the cache on every shard it
-  // covers is a raced older view; any strictly newer shard means placement
-  // changed since the cached entries were resolved — they may name groups
-  // that merged or moved, so replace wholesale.
-  bool newer = false, older = false;
-  for (size_t s = 0; s < eps.size(); ++s) {
-    if (eps[s] == 0) continue;
-    if (eps[s] > search_shard_epochs_[s]) newer = true;
-    if (eps[s] < search_shard_epochs_[s]) older = true;
-  }
-  if (older && !newer) return;
-  if (newer) {
-    search_cache_.clear();
-    for (size_t s = 0; s < eps.size(); ++s) {
-      search_shard_epochs_[s] = std::max(search_shard_epochs_[s], eps[s]);
-    }
-  }
+  const std::vector<char> current = AdvanceEpochsLocked(resp.shard_epochs);
+  if (std::find(current.begin(), current.end(), 0) != current.end()) return;
   search_cache_[index_name] = resp;
 }
 
 void PropellerClient::LookupFilePlacements(
     const std::vector<FileUpdate>& updates,
     std::unordered_map<FileId, FilePlacement>* where,
-    std::vector<uint64_t>* epochs, std::vector<FileId>* missing) {
+    std::vector<FileId>* missing) {
   MutexLock lock(cache_mu_);
-  *epochs = file_shard_epochs_;
   for (const FileUpdate& u : updates) {
     if (where->count(u.file) != 0u) continue;
     auto it = file_cache_.find(u.file);
@@ -177,40 +187,14 @@ void PropellerClient::LookupFilePlacements(
 }
 
 void PropellerClient::StoreFilePlacements(const ResolveUpdateResponse& resp) {
-  const std::vector<uint64_t>& eps = resp.shard_epochs;
   const uint32_t n = NumShards();
   MutexLock lock(cache_mu_);
-  // Per-shard accept/evict: a shard whose published epoch moved past the
-  // cache invalidates only that shard's entries; a shard the response is
-  // older on keeps its cached entries and rejects the stale placements.
-  std::vector<char> accept(n, 0);
-  std::vector<char> evict(n, 0);
-  for (uint32_t s = 0; s < n; ++s) {
-    if (eps[s] == 0 || eps[s] < file_shard_epochs_[s]) continue;
-    accept[s] = 1;
-    if (eps[s] > file_shard_epochs_[s]) {
-      evict[s] = 1;
-      file_shard_epochs_[s] = eps[s];
-    }
-  }
-  bool any_evict = false;
-  for (uint32_t s = 0; s < n; ++s) any_evict = any_evict || evict[s] != 0;
-  if (any_evict) {
-    // The placement moved on: cached search targets may predate groups
-    // this very resolve created (this client's next search must see the
-    // rows it just wrote there), so they go too.
-    search_cache_.clear();
-    for (auto it = file_cache_.begin(); it != file_cache_.end();) {
-      if (evict[ShardOfFile(it->first, n)] != 0) {
-        it = file_cache_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  const std::vector<char> current = AdvanceEpochsLocked(resp.shard_epochs);
   for (const auto& p : resp.placements) {
-    if (accept[ShardOfFile(p.file, n)] != 0) {
-      file_cache_[p.file] = FilePlacement{p.group, p.node};
+    const uint32_t shard = ShardOfFile(p.file, n);
+    if (current[shard] != 0) {
+      file_cache_[p.file] =
+          FilePlacement{p.group, p.node, cache_epochs_[shard]};
     }
   }
 }
@@ -438,32 +422,29 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
                       clock_s_ != nullptr ? *clock_s_ : 0.0, id_);
   root.Tag("updates", static_cast<uint64_t>(updates.size()));
   sim::Cost cost;
-  const bool caching = config_.read_path_caching;
+  const uint32_t num_shards = NumShards();
 
-  // Routing: consult the placement cache first (read_path_caching), then
-  // ask the master only for the files it cannot answer.  With caching off
-  // this degenerates to the original single batched resolve.
+  // Routing: the placement cache answers what it can; the rest is resolved
+  // in one batch.
   std::unordered_map<FileId, FilePlacement> where;
   where.reserve(updates.size());
-  std::vector<uint64_t> epochs(NumShards(), 0);
   std::vector<FileId> need;
-  if (caching) {
-    LookupFilePlacements(updates, &where, &epochs, &need);
-    cache_hits_->Add(where.size());
-    cache_misses_->Add(need.size());
-  } else {
-    need.reserve(updates.size());
-    for (const FileUpdate& u : updates) need.push_back(u.file);
-  }
+  LookupFilePlacements(updates, &where, &need);
+  cache_hits_->Add(where.size());
+  cache_misses_->Add(need.size());
 
   // Resolves placements for `files` — through the lease holders when
   // delegation is on and they can answer, through the master otherwise —
-  // and merges them into `where` (refreshing the cache and the per-shard
-  // request epochs).
-  auto resolve = [&](std::vector<FileId> files) -> Status {
+  // and merges them into `where`, each stamped with the epoch it was
+  // resolved at.  A `repair` resolves at the master and its placements go
+  // out unstamped: the master pushes before it answers, so the answer is
+  // as new as anything a node knew when it refused, and a node that knows
+  // newer still learned it from an operation concurrent with this batch —
+  // the paper's resolve-then-stage ordering, not a staleness to repair.
+  auto resolve = [&](std::vector<FileId> files, bool repair) -> Status {
     ResolveUpdateResponse resolved;
     bool delegated = false;
-    if (config_.placement_leases) {
+    if (config_.placement_leases && !repair) {
       delegated = ResolveUpdateDelegated(files, &resolved, &cost);
       if (!delegated) delegated_fallbacks_->Add(1);
     }
@@ -485,19 +466,16 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
       if (config_.placement_leases) StoreLeaseHolders(resolved.lease_holders);
     }
     for (const auto& p : resolved.placements) {
-      where[p.file] = FilePlacement{p.group, p.node};
+      where[p.file] = FilePlacement{
+          p.group, p.node,
+          repair ? 0 : resolved.shard_epochs[ShardOfFile(p.file, num_shards)]};
     }
     if (config_.replicated) StoreReplicaSets(resolved.replicas);
-    if (caching) StoreFilePlacements(resolved);
-    if (caching || config_.replicated) {
-      for (size_t s = 0; s < epochs.size(); ++s) {
-        epochs[s] = std::max(epochs[s], resolved.shard_epochs[s]);
-      }
-    }
+    StoreFilePlacements(resolved);
     return Status::Ok();
   };
   if (!need.empty()) {
-    PROPELLER_RETURN_IF_ERROR(resolve(std::move(need)));
+    PROPELLER_RETURN_IF_ERROR(resolve(std::move(need), /*repair=*/false));
   }
   // Replicated mode: the replica set each shipment must fan to.  Cached
   // placements reuse the memoized sets; a fresh resolve just refilled them.
@@ -507,9 +485,12 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   // Bucket updates per group (a group's primary lives on exactly one
   // node): a flat vector filled through a reserved hash index, then whole
   // buckets sorted by (node, group) so shipment order is deterministic.
+  // A bucket is stamped with the oldest epoch any of its placements was
+  // resolved at (a group's files share its shard).
   struct Bucket {
     NodeId node = 0;
     GroupId group = 0;
+    uint64_t epoch = 0;
     std::vector<FileUpdate> updates;
   };
   auto make_buckets = [&](std::vector<FileUpdate> batch,
@@ -521,11 +502,12 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
       if (it == where.end()) {
         return Status::Internal("master did not place file");
       }
-      auto [slot, fresh] = bucket_of.try_emplace(it->second.group, out->size());
-      if (fresh) {
-        out->push_back(Bucket{it->second.node, it->second.group, {}});
-      }
-      (*out)[slot->second].updates.push_back(std::move(u));
+      const FilePlacement& at = it->second;
+      auto [slot, fresh] = bucket_of.try_emplace(at.group, out->size());
+      if (fresh) out->push_back(Bucket{at.node, at.group, at.epoch, {}});
+      Bucket& bucket = (*out)[slot->second];
+      bucket.epoch = std::min(bucket.epoch, at.epoch);
+      bucket.updates.push_back(std::move(u));
     }
     std::sort(out->begin(), out->end(), [](const Bucket& a, const Bucket& b) {
       return std::tie(a.node, a.group) < std::tie(b.node, b.group);
@@ -628,12 +610,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
           const SectionRef& ref = m.sections[k];
           StageSection& section = req.sections[k];
           section.group = buckets[ref.write].group;
-          // The group's placement was resolved at its owning shard's epoch
-          // (a shard's groups carry its residue class, so the file's shard
-          // and the group's shard coincide).
-          section.epoch = (caching || config_.replicated)
-                              ? epochs[ShardOfGroup(section.group, NumShards())]
-                              : 0;
+          section.epoch = buckets[ref.write].epoch;
           if (config_.replicated) {
             section.replica_role =
                 ref.replica == 0 ? kReplicaRolePrimary : kReplicaRoleSecondary;
@@ -668,10 +645,8 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   // exactly the (node, group) pairs that did not.  Once one of a group's
   // sections fails on a node, its later sections are withheld from that
   // node, so a repair never reorders a group's updates.
-  // When a repair pass may re-ship failed sections (caching or replicated
-  // mode), the sent copies must survive the send: the repair decodes them
-  // to recover the original updates.
-  const bool keep_payloads = caching || config_.replicated;
+  // The sent copies survive the send: a repair pass decodes them to
+  // recover the failed sections' updates.
   auto ship_all = [&](std::vector<NodeShipment>& ships,
                       std::vector<GroupWrite>& writes,
                       const obs::TraceCursor& base) {
@@ -686,7 +661,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
         std::string payload;
         if (std::none_of(m.sections.begin(), m.sections.end(), failed)) {
           live = m.sections;
-          payload = keep_payloads ? m.payload : std::move(m.payload);
+          payload = m.payload;
         } else {
           // Failure path only: re-encode without the withheld sections.
           auto req = Decode<StageUpdatesRequest>(m.payload);
@@ -786,14 +761,13 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
   const obs::TraceCursor fanout_base = obs::CurrentTrace();
   ship_all(shipments, writes, fanout_base);
 
-  // Sort failures: cache-repairable (stale routing, or a cached route to an
-  // unreachable node — the master may have re-homed its groups) vs fatal.
-  auto is_repairable = [&](const Status& st) {
-    // Replicated mode repairs the same classes even without the placement
-    // cache: a quorum miss or a dead primary may mean the master already
-    // promoted a secondary — one re-resolve routes to the new primary.
-    if (!caching && !config_.replicated) return false;
+  // Sort failures: repairable by one re-resolve at the master (stale
+  // routing; a group gone from the node a placement named; or an
+  // unreachable node — the master may have re-homed its groups, or
+  // promoted a secondary after a quorum miss) vs fatal.
+  auto is_repairable = [](const Status& st) {
     return st.code() == StatusCode::kStaleLocation ||
+           st.code() == StatusCode::kNotFound ||
            st.code() == StatusCode::kUnavailable;
   };
   // Names every failed group by its primary: (node, group) pairs.
@@ -831,7 +805,8 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
 
   if (retry) {
     // Exactly one repair pass: drop the cache, re-resolve the failed
-    // groups' files, and re-ship just those updates.  The client waited
+    // groups' files at the master (a lease holder's mirror may be the very
+    // thing that is stale), and re-ship just those updates.  The client waited
     // on the whole first fan-out, so its slowest node lands in the cost
     // before the repair begins.
     join(shipments, fanout_base);
@@ -861,7 +836,7 @@ Result<sim::Cost> PropellerClient::BatchUpdate(std::vector<FileUpdate> updates,
         }
       }
     }
-    PROPELLER_RETURN_IF_ERROR(resolve(std::move(files)));
+    PROPELLER_RETURN_IF_ERROR(resolve(std::move(files), /*repair=*/true));
     if (config_.replicated) rsets = SnapshotReplicaSets();
     std::vector<Bucket> retry_buckets;
     PROPELLER_RETURN_IF_ERROR(
@@ -892,18 +867,18 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
                       trace_seq_.fetch_add(1, std::memory_order_relaxed),
                       clock_s_ != nullptr ? *clock_s_ : 0.0, id_);
   if (!index_name.empty()) root.Tag("index", index_name);
-  const bool caching = config_.read_path_caching;
   const bool replicated = config_.replicated;
   const bool hedging = replicated && config_.hedge.enabled;
 
   // Routing: the placement cache answers repeat searches without touching
-  // the master (read_path_caching); otherwise one resolve RPC, memoized.
+  // the master; a miss costs one resolve RPC (to the lease holders when
+  // they can answer), memoized.  A `repair` resolves at the master and its
+  // fan-out goes out unstamped (see BatchUpdate's resolve).
   ResolveSearchResponse targets;
-  uint64_t epoch = 0;
   bool from_cache = false;
-  auto resolve = [&]() -> Status {
+  auto resolve = [&](bool repair) -> Status {
     bool delegated = false;
-    if (config_.placement_leases) {
+    if (config_.placement_leases && !repair) {
       ResolveSearchResponse merged;
       delegated = ResolveSearchDelegated(index_name, &merged, &out.cost);
       if (delegated) {
@@ -929,24 +904,26 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
       targets = std::move(*decoded);
       if (config_.placement_leases) StoreLeaseHolders(targets.lease_holders);
     }
-    // The stamped epoch is a staleness *flag* at the Index Nodes (>0 asks
-    // for kStaleLocation on moved groups), so one number — the max across
-    // shards — serves at any shard count.
-    epoch = 0;
-    for (uint64_t e : targets.shard_epochs) epoch = std::max(epoch, e);
     if (replicated) StoreReplicaSets(targets.replicas);
-    if (caching) StoreSearchTargets(index_name, targets);
+    StoreSearchTargets(index_name, targets);
     return Status::Ok();
   };
-  if (caching && LookupSearchTargets(index_name, &targets, &epoch)) {
+  if (LookupSearchTargets(index_name, &targets)) {
     from_cache = true;
     cache_hits_->Add(1);
   } else {
-    if (caching) cache_misses_->Add(1);
-    PROPELLER_RETURN_IF_ERROR(resolve());
+    cache_misses_->Add(1);
+    PROPELLER_RETURN_IF_ERROR(resolve(/*repair=*/false));
   }
 
   for (int attempt = 0;; ++attempt) {
+    // The placement version the targets were resolved at: the sum of their
+    // shard epochs, which every epoch bump raises (a repair's retry is
+    // unstamped).
+    uint64_t version = 0;
+    if (attempt == 0) {
+      for (uint64_t e : targets.shard_epochs) version += e;
+    }
     // Fan out to every Index Node — concurrently when an RPC pool is
     // attached, serially otherwise.  Payloads are encoded up front and
     // responses aggregated in target order, so both modes produce identical
@@ -968,7 +945,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
       SearchRequest sreq;
       sreq.groups = targets.targets[i].groups;
       sreq.predicate = predicate;
-      sreq.epoch = (caching || replicated) ? epoch : 0;
+      sreq.epoch = version;
       if (replicated) append_floors(sreq.groups, &sreq);
       sreq.arrival_s = arrival_s;
       payloads[i] = Encode(sreq);
@@ -1080,7 +1057,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
           SearchRequest hreq;
           hreq.groups = sgroups;
           hreq.predicate = predicate;
-          hreq.epoch = (caching || replicated) ? epoch : 0;
+          hreq.epoch = version;
           append_floors(sgroups, &hreq);
           hreq.arrival_s = arrival_s;
           obs::ScopedTraceCursor secondary_cursor(hedge_base);
@@ -1126,25 +1103,20 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
       for (size_t i = 0; i < n; ++i) call_one(i);
     }
 
-    // Stale cached routing?  kStaleLocation (a node disowned a group we
-    // named) always means yes; kUnavailable on a cached route may mean the
-    // node died and the master re-homed its groups; kStaleReplica means a
-    // replica has not caught up to this client's acked writes — by the
-    // retry, anti-entropy or a promotion catch-up has usually closed the
-    // gap.  Either way: one re-resolve, one full retry — never a loop.
-    if ((caching || replicated) && attempt == 0) {
+    // Stale routing?  kStaleLocation (a node knows a newer placement than
+    // the targets) always means yes; kUnavailable on a cached route may
+    // mean the node died and the master re-homed its groups; kStaleReplica
+    // means a replica has not caught up to this client's acked writes — by
+    // the retry, anti-entropy or a promotion catch-up has usually closed
+    // the gap.  Either way: one re-resolve at the master, one full retry —
+    // never a loop.
+    if (attempt == 0) {
       bool stale = false;
       bool stale_replica = false;
       for (size_t i = 0; i < n; ++i) {
         const StatusCode code = branches_res[i].status.code();
-        // Replicated clients stamp epochs even without the placement
-        // cache, so they repair kStaleLocation the same way.
-        if ((caching || replicated) && code == StatusCode::kStaleLocation) {
-          stale = true;
-        }
-        if (caching && from_cache && code == StatusCode::kUnavailable) {
-          stale = true;
-        }
+        if (code == StatusCode::kStaleLocation) stale = true;
+        if (from_cache && code == StatusCode::kUnavailable) stale = true;
         if (replicated && code == StatusCode::kStaleReplica) {
           stale_replica = true;
         }
@@ -1167,7 +1139,7 @@ Result<PropellerClient::SearchOutcome> PropellerClient::Search(
         }
         if (stale) root.Tag("stale_retry", "true");
         InvalidateRoutingCache();
-        PROPELLER_RETURN_IF_ERROR(resolve());
+        PROPELLER_RETURN_IF_ERROR(resolve(/*repair=*/true));
         from_cache = false;
         continue;
       }

@@ -3,8 +3,9 @@
 // Sits "under the existing file system on the client side" (Section IV):
 // attach it to a Vfs and it captures ACG deltas transparently; its query
 // engine parses query strings / predicates, resolves routing through the
-// Master Node, and fans requests out to Index Nodes in parallel (the
-// simulated latency of a fan-out is the slowest branch).
+// Master Node (once per placement epoch: answers are cached), and fans
+// requests out to Index Nodes in parallel (the simulated latency of a
+// fan-out is the slowest branch).
 #pragma once
 
 #include <atomic>
@@ -53,13 +54,6 @@ struct ClientConfig {
   // reachable nodes' results with SearchOutcome::partial = true and the
   // failures listed per node, instead of failing the whole search.
   bool allow_partial_search = false;
-  // Client-side placement caching (read_path_caching layer 1): memoize
-  // master resolve responses keyed by the metadata epoch they carry, skip
-  // the resolve RPC on repeat requests, stamp the epoch onto in.search /
-  // in.stage_updates, and recover from kStaleLocation — or a cached route
-  // to an unreachable node — with exactly one re-resolve + retry.
-  // PropellerCluster wires this from its own flag.
-  bool read_path_caching = false;
   // Replication (tail-tolerant reads).  On, the client fans every write
   // shipment to the group's full replica set — the primary's journal
   // append is the durable copy and its ack carries the commit sequence;
@@ -131,8 +125,9 @@ class PropellerClient {
   Result<sim::Cost> CreateIndex(const IndexSpec& spec);
 
   // --- File indexing (real-time path) ---
-  // Batches updates by target group (resolved through the master) and
-  // stages them on the owning Index Nodes in parallel: one in.stage_updates
+  // Batches updates by target group (placements from the cache, misses
+  // resolved through the master or a lease holder) and stages them on the
+  // owning Index Nodes in parallel: one in.stage_updates
   // message per destination node (more when a node's share exceeds
   // update_batch), one section per group.  `admission` stamps every
   // stage message for the index nodes' bounded admission queues
@@ -184,28 +179,39 @@ class PropellerClient {
                                            std::string payload,
                                            double elapsed_s = 0.0);
 
-  // --- placement cache (read_path_caching) ---
+  // --- placement cache ---
+  // Every resolve answer is memoized under the per-shard epochs it carries,
+  // so repeat requests skip the resolve RPC.  Each request is stamped with
+  // the epochs its routing was resolved at (proto.h's epoch convention): a
+  // node told of a newer placement refuses it with kStaleLocation, and the
+  // client repairs once, at the master.
   struct FilePlacement {
     GroupId group = 0;
     NodeId node = 0;
+    uint64_t epoch = 0;  // the file's shard epoch this placement is from
   };
-  // Copies the cached fan-out targets for `index_name` (true on hit) along
-  // with the epoch they were resolved at.
+  // Copies the cached fan-out targets for `index_name` (true on hit); their
+  // shard_epochs are the ones they were resolved at.
   bool LookupSearchTargets(const std::string& index_name,
-                           ResolveSearchResponse* targets, uint64_t* epoch);
-  // Memoizes a fresh resolve response; a newer epoch wholesale-replaces
-  // older entries (placements can merge or move between epochs).
+                           ResolveSearchResponse* targets);
+  // Memoizes a resolve answer current on every shard.
   void StoreSearchTargets(const std::string& index_name,
                           const ResolveSearchResponse& resp);
-  // Fills `where` from cached placements, appends each unknown file to
+  // Fills `where` from cached placements and appends each unknown file to
   // `missing` (preserving update order, duplicates included, exactly as an
-  // uncached resolve request would list them) and reports the per-shard
-  // cache epochs.
+  // uncached resolve request would list them).
   void LookupFilePlacements(const std::vector<FileUpdate>& updates,
                             std::unordered_map<FileId, FilePlacement>* where,
-                            std::vector<uint64_t>* epochs,
                             std::vector<FileId>* missing);
+  // Memoizes the placements of the shards the answer is current on.
   void StoreFilePlacements(const ResolveUpdateResponse& resp);
+  // Raises cache_epochs_ to `eps` (0 = no statement about a shard).  A
+  // raised shard's cached file placements go, and so does every cached
+  // search target list (each spans all shards).  Returns, per shard,
+  // whether `eps` is current there (neither unstated nor a raced older
+  // view).
+  std::vector<char> AdvanceEpochsLocked(const std::vector<uint64_t>& eps)
+      REQUIRES(cache_mu_);
   // Number of metadata shards the caches are keyed by (>= 1).
   uint32_t NumShards() const {
     return config_.master_shards == 0 ? 1 : config_.master_shards;
@@ -222,16 +228,19 @@ class PropellerClient {
   std::vector<NodeId> SnapshotLeaseHolders() const;
   // Delegated resolves: partition the request across the lease holders,
   // fan out "in.resolve_*", and merge the answers.  False = fall back to
-  // the master (no holders known, a holder refused, or partial coverage);
-  // `cost` accumulates whatever the client waited on either way.
+  // the master (no holders known, a holder refused — its lease lapsed or
+  // its mirror predates an epoch it was told — or partial coverage);
+  // `cost` accumulates whatever the client waited on either way.  A
+  // repair after a refused request never delegates.
   bool ResolveUpdateDelegated(const std::vector<FileId>& files,
                               ResolveUpdateResponse* out, sim::Cost* cost);
   bool ResolveSearchDelegated(const std::string& index_name,
                               ResolveSearchResponse* out, sim::Cost* cost);
-  // Drops both caches — routing proved stale (kStaleLocation) or a cached
-  // route hit a dead node; the follow-up resolve refills them.  The
-  // read-your-writes floors survive: they describe acknowledged writes,
-  // not routing.
+  // Drops both caches — routing proved stale (kStaleLocation, kNotFound)
+  // or a cached route hit a dead node; the follow-up resolve refills them.
+  // The read-your-writes floors and the cache epochs survive: they
+  // describe acknowledged writes and placements already seen, not
+  // routing.
   void InvalidateRoutingCache();
 
   // --- replication state (replicated mode) ---
@@ -278,14 +287,14 @@ class PropellerClient {
   obs::Histogram* branch_latency_;
 
   // Placement-cache state.  cache_mu_ (LockRank::kClientCache) is never
-  // held across a transport call; each cache is valid only at the epoch
-  // stored beside it.
+  // held across a transport call.  cache_epochs_ holds the newest epoch
+  // seen per shard; every cached entry is current at it (a raise evicts
+  // what it may invalidate).
   mutable Mutex cache_mu_{LockRank::kClientCache, "PropellerClient::cache_mu_"};
+  std::vector<uint64_t> cache_epochs_ GUARDED_BY(cache_mu_);
   std::unordered_map<std::string, ResolveSearchResponse> search_cache_
       GUARDED_BY(cache_mu_);
-  std::vector<uint64_t> search_shard_epochs_ GUARDED_BY(cache_mu_);
   std::unordered_map<FileId, FilePlacement> file_cache_ GUARDED_BY(cache_mu_);
-  std::vector<uint64_t> file_shard_epochs_ GUARDED_BY(cache_mu_);
   // Placement delegation: shard -> lease-holding Index Node (0 = none),
   // as last stamped by a master resolve response; empty until then.
   std::vector<NodeId> lease_holders_ GUARDED_BY(cache_mu_);

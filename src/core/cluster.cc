@@ -29,10 +29,6 @@ PropellerCluster::PropellerCluster(ClusterConfig config)
     config_.client.replicated = true;
     config_.client.hedge.enabled = config_.hedged_reads;
   }
-  if (config_.read_path_caching) {
-    config_.index_node.result_cache = true;
-    config_.client.read_path_caching = true;
-  }
   if (config_.admission_control) {
     config_.index_node.admission_control = true;
     config_.index_node.admission_queue_bound = config_.admission_queue_bound;
@@ -108,11 +104,11 @@ void PropellerCluster::AdvanceTime(double seconds) {
       hb.groups = node->GroupStats();
       auto ack = transport_.Call(node->id(), kMasterId, "mn.heartbeat",
                                  Encode(hb));
-      // Placement leases ride back on the ack: install them on the node so
-      // it can answer delegated resolves.
-      if (config_.placement_leases && ack.status.ok()) {
+      // The ack carries the master's epochs (a node that missed a push
+      // catches up here) and any placement leases it grants the node.
+      if (ack.status.ok()) {
         if (auto resp = Decode<HeartbeatResponse>(ack.payload); resp.ok()) {
-          node->InstallLeases(*resp, now_s_);
+          node->ApplyHeartbeatAck(*resp, now_s_);
         }
       }
     }

@@ -43,13 +43,6 @@ struct ClusterConfig {
   // default — when off, every instrumentation point is a thread-local read
   // plus one branch.  Metrics counters are always on.
   bool tracing = false;
-  // Read-path caching (three layers, see DESIGN.md "Read path & caching"):
-  // clients cache placements keyed by the per-shard epochs every resolve
-  // response carries and skip repeat resolve RPCs (recovering from stale
-  // routes with one re-resolve + retry), and every group memoizes search
-  // results until its next commit.  Off by default — when off, nothing is
-  // cached and requests carry no epoch.
-  bool read_path_caching = false;
   // Write-read decoupling (see DESIGN.md "Segments & group commit"): every
   // group runs in segmented mode — immutable committed segments plus a
   // mutable memtable, snapshot searches that never block on a commit, and

@@ -24,7 +24,8 @@ IndexNode::IndexNode(NodeId id, IndexNodeConfig config)
       admit_depth_(&metrics_.GetGauge("in.admit.queue_depth")),
       admit_depth_peak_(&metrics_.GetGauge("in.admit.queue_peak")),
       resolve_delegated_(&metrics_.GetCounter("in.resolve.delegated")),
-      resolve_stale_(&metrics_.GetCounter("in.resolve.stale")) {
+      resolve_stale_(&metrics_.GetCounter("in.resolve.stale")),
+      stale_requests_(&metrics_.GetCounter("in.stale_epoch")) {
   if (config_.parallel_search) {
     search_pool_ = std::make_unique<ThreadPool>(
         std::max<size_t>(1, static_cast<size_t>(config_.search_threads)));
@@ -142,6 +143,7 @@ net::RpcHandler::Response IndexNode::Handle(const std::string& method,
   if (method == "in.reset") return HandleReset(payload);
   if (method == "in.resolve_update") return HandleResolveUpdate(payload);
   if (method == "in.resolve_search") return HandleResolveSearch(payload);
+  if (method == "in.epochs") return HandleEpochs(payload);
   return Response{Status::NotFound("unknown method " + method), {}, {}};
 }
 
@@ -177,6 +179,15 @@ net::RpcHandler::Response IndexNode::HandleStageUpdates(const std::string& paylo
 
 net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
     StageUpdatesRequest& req) {
+  // The known epochs are read before the map lock (lease_mu_ ranks below
+  // groups_mu_); a push landing meanwhile belongs to an operation that has
+  // not answered yet.
+  std::vector<uint64_t> known;
+  {
+    MutexLock lock(lease_mu_);
+    known = known_epochs_;
+  }
+  const auto num_shards = static_cast<uint32_t>(known.size());
   // One shared hold of the map lock for the whole message: the sections
   // stage in order, each under its own group mutex.
   ReaderMutexLock lock(groups_mu_);
@@ -185,6 +196,20 @@ net::RpcHandler::Response IndexNode::StageUpdatesAdmitted(
   sim::Cost cost;
   for (StageSection& section : req.sections) {
     resp.sections.emplace_back();
+    if (section.epoch != 0 && num_shards != 0 &&
+        section.epoch < known[ShardOfGroup(section.group, num_shards)]) {
+      // Routed by a placement older than one this node was told about:
+      // the group may have merged, split or moved since.  The client
+      // re-resolves at the master and retries.
+      stale_requests_->Add(1);
+      resp.sections.back().code = StatusCode::kStaleLocation;
+      const sim::Cost lookup(10e-6);  // metadata-only work
+      if (obs::CurrentTrace().active()) {
+        obs::CurrentTrace().now_s += lookup.seconds();
+      }
+      cost += lookup;
+      continue;
+    }
     cost += StageSectionLocked(section, req.now_s, &resp.sections.back());
   }
   return Response{Status::Ok(), Encode(resp), cost};
@@ -195,19 +220,8 @@ sim::Cost IndexNode::StageSectionLocked(
     StageUpdatesResponse::SectionResult* result) {
   index::IndexGroup* group = Find(section.group);
   if (group == nullptr) {
-    // A section stamped with a placement epoch came from a client-side
-    // cache: tell it the routing went stale so it re-resolves once and
-    // retries.  Unstamped sections keep the NotFound contract.
-    if (section.epoch == 0) {
-      result->code = StatusCode::kNotFound;
-      return sim::Cost::Zero();
-    }
-    result->code = StatusCode::kStaleLocation;
-    const sim::Cost lookup(10e-6);  // metadata-only work
-    if (obs::CurrentTrace().active()) {
-      obs::CurrentTrace().now_s += lookup.seconds();
-    }
-    return lookup;
+    result->code = StatusCode::kNotFound;
+    return sim::Cost::Zero();
   }
   stage_batches_->Add(1);
   obs::SpanGuard span("wal.append", section.group, id_);
@@ -251,6 +265,15 @@ sim::Cost IndexNode::StageSectionLocked(
 net::RpcHandler::Response IndexNode::HandleSearch(const std::string& payload) {
   auto req = Decode<SearchRequest>(payload);
   if (!req.ok()) return Response{req.status(), {}, {}};
+  // Routing older than a placement this node was told about may miss
+  // groups created, split off or moved here since: refuse it before any
+  // queueing or index work, and the client re-resolves at the master.
+  if (StaleVersion(req->epoch)) {
+    stale_requests_->Add(1);
+    return Response{Status::StaleLocation("routing predates a known placement"),
+                    {},
+                    sim::Cost(10e-6)};  // metadata-only work
+  }
   // Arrival-stamped searches (open-loop traffic) queue behind the node's
   // workers in virtual time; a full waiting line sheds the request before
   // it touches any group.  The reported cost becomes the full sojourn
@@ -299,16 +322,10 @@ net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
   targets.reserve(req.groups.size());
   for (GroupId gid : req.groups) {
     index::IndexGroup* group = Find(gid);
-    if (group == nullptr) {
-      // Epoch-stamped searches come from a client placement cache: a
-      // missing group means that cache is stale, and silently skipping it
-      // would drop results.  Fail fast so the client re-resolves + retries.
-      if (req.epoch > 0) {
-        return Response{Status::StaleLocation("group moved"), {},
-                        sim::Cost(10e-6)};  // metadata-only work
-      }
-      continue;  // legacy: stale routing, group migrated away
-    }
+    // A group this node no longer holds, with routing no older than what
+    // the node knows, moved in an operation the node has not been told
+    // about: skip it, as the paper's protocol does.
+    if (group == nullptr) continue;
     targets.push_back(group);
   }
 
@@ -673,8 +690,51 @@ net::RpcHandler::Response IndexNode::HandleReset(const std::string& payload) {
   return Response{st, {}, sim::Cost(10e-6)};  // metadata-only work
 }
 
-void IndexNode::InstallLeases(const HeartbeatResponse& resp, double now_s) {
+bool IndexNode::StaleVersion(uint64_t stamp) const {
+  if (stamp == 0) return false;
   MutexLock lock(lease_mu_);
+  return stamp < known_version_;
+}
+
+void IndexNode::ObserveEpochsLocked(const std::vector<uint64_t>& epochs) {
+  if (epochs.empty()) return;
+  if (known_epochs_.size() != epochs.size()) {
+    known_epochs_.assign(epochs.size(), 0);
+  }
+  uint64_t version = 0;
+  for (size_t s = 0; s < epochs.size(); ++s) {
+    known_epochs_[s] = std::max(known_epochs_[s], epochs[s]);
+    version += known_epochs_[s];
+  }
+  known_version_ = version;
+}
+
+bool IndexNode::MirrorStaleLocked(uint32_t shard,
+                                  const ShardLease& lease) const {
+  return shard < known_epochs_.size() && lease.epoch < known_epochs_[shard];
+}
+
+std::vector<uint64_t> IndexNode::KnownEpochs() const {
+  MutexLock lock(lease_mu_);
+  return known_epochs_;
+}
+
+net::RpcHandler::Response IndexNode::HandleEpochs(const std::string& payload) {
+  auto req = Decode<ShardEpochs>(payload);
+  if (!req.ok()) return Response{req.status(), {}, {}};
+  ShardEpochs resp;
+  {
+    MutexLock lock(lease_mu_);
+    ObserveEpochsLocked(req->shard_epochs);
+    resp.shard_epochs = known_epochs_;
+  }
+  // Metadata-only work.
+  return Response{Status::Ok(), Encode(resp), sim::Cost(10e-6)};
+}
+
+void IndexNode::ApplyHeartbeatAck(const HeartbeatResponse& resp, double now_s) {
+  MutexLock lock(lease_mu_);
+  ObserveEpochsLocked(resp.shard_epochs);
   lease_now_s_ = std::max(lease_now_s_, now_s);
   lease_num_shards_ = resp.num_shards;
   lease_index_names_ = resp.index_names;
@@ -741,6 +801,9 @@ net::RpcHandler::Response IndexNode::HandleResolveUpdate(
       return refuse("no live lease for file's metadata shard");
     }
     const ShardLease& lease = lit->second;
+    if (MirrorStaleLocked(shard, lease)) {
+      return refuse("lease mirror predates a known placement");
+    }
     auto fit = lease.file_group.find(file);
     if (fit == lease.file_group.end()) {
       // Unknown to the mirror: only the master may place a new file.
@@ -797,7 +860,9 @@ net::RpcHandler::Response IndexNode::HandleResolveSearch(
   std::vector<uint64_t> epochs(n, 0);
   uint64_t covered_groups = 0;
   for (const auto& [shard, lease] : leases_) {
-    if (lease.expiry_s < lease_now_s_) continue;
+    if (lease.expiry_s < lease_now_s_ || MirrorStaleLocked(shard, lease)) {
+      continue;
+    }
     epochs[shard % n] = lease.epoch;
     for (const auto& [group, node] : lease.group_primary) {
       by_node[node].push_back(group);
@@ -814,7 +879,9 @@ net::RpcHandler::Response IndexNode::HandleResolveSearch(
     resp.targets.push_back({node, std::move(groups)});
   }
   for (const auto& [shard, lease] : leases_) {
-    if (lease.expiry_s < lease_now_s_) continue;
+    if (lease.expiry_s < lease_now_s_ || MirrorStaleLocked(shard, lease)) {
+      continue;
+    }
     for (const auto& [group, nodes] : lease.group_replicas) {
       resp.replicas.push_back(GroupReplicaSet{group, nodes});
     }
@@ -899,7 +966,8 @@ Status IndexNode::CrashAndRecover() {
 
 Status IndexNode::Reset() {
   // Lease soft state does not survive a reset: the node rejoins with no
-  // delegation rights and waits for a fresh heartbeat grant.  (lease_mu_
+  // delegation rights and waits for a fresh heartbeat grant.  The known
+  // epochs do: a placement the node was told about stays told.  (lease_mu_
   // ranks below groups_mu_, so clear it before taking the map lock.)
   {
     MutexLock lock(lease_mu_);

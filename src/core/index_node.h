@@ -54,8 +54,9 @@ struct IndexNodeConfig {
   // lost.  Null disables replication — and its extra simulated I/O — on
   // the staging path.
   GroupJournal* recovery_journal = nullptr;
-  // Enable each group's search-result memo (read_path_caching layer 3).
-  // Off, groups never touch the cache and search costs are unchanged.
+  // Enable each group's search-result memo (read path layer 3, see
+  // DESIGN.md "Read path & caching").  Off (the default), groups never
+  // touch the memo and search costs are unchanged.
   bool result_cache = false;
   // Write-read decoupling: run every group in segmented mode (immutable
   // committed segments + mutable memtable; see index/index_group.h).  Off,
@@ -118,17 +119,21 @@ class IndexNode : public net::RpcHandler {
   // to model a permanent machine loss.
   Status Reset();
 
-  // Placement delegation (sharded master): installs/renews the metadata
-  // shard leases granted on a heartbeat response.  A grant with a mirror
-  // replaces the shard's cached placement state; a bare renewal only
-  // extends the expiry.  `now_s` advances the node's view of cluster time
-  // (delegated resolves judge lease expiry against it).
-  void InstallLeases(const HeartbeatResponse& resp, double now_s);
+  // Applies the master's heartbeat ack: catches the node's known epochs up
+  // to the ack's (a node that missed an in.epochs push learns them here)
+  // and installs/renews the metadata shard leases granted on it.  A grant
+  // with a mirror replaces the shard's cached placement state; a bare
+  // renewal only extends the expiry.  `now_s` advances the node's view of
+  // cluster time (delegated resolves judge lease expiry against it).
+  void ApplyHeartbeatAck(const HeartbeatResponse& resp, double now_s);
 
-  // --- lease accessors (tests) ---
+  // --- lease and epoch accessors (tests) ---
   size_t NumLeases() const;
   bool HasLease(uint32_t shard) const;
   uint64_t LeaseEpoch(uint32_t shard) const;
+  // Per-shard maximum of every epoch the master told this node (empty
+  // until the first push or heartbeat ack).
+  std::vector<uint64_t> KnownEpochs() const;
 
   // Node-local metrics: the registry shared with this node's groups, plus
   // page-cache counters injected from the IoContext at snapshot time.
@@ -165,6 +170,16 @@ class IndexNode : public net::RpcHandler {
   // falls back to the master.
   Response HandleResolveUpdate(const std::string& payload);
   Response HandleResolveSearch(const std::string& payload);
+  // in.epochs: merges the pushed epochs into the known ones and answers
+  // with the result.
+  Response HandleEpochs(const std::string& payload);
+  // Per-shard max-merge of `epochs` into known_epochs_ (a vector of a
+  // different shard count replaces it: the master's count is fixed).
+  void ObserveEpochsLocked(const std::vector<uint64_t>& epochs)
+      REQUIRES(lease_mu_);
+  // True when `stamp` (a SearchRequest's placement version) is older than
+  // what this node was told.
+  bool StaleVersion(uint64_t stamp) const;
 
   // Map lookup; shared hold suffices.
   index::IndexGroup* Find(GroupId id) REQUIRES_SHARED(groups_mu_);
@@ -228,11 +243,14 @@ class IndexNode : public net::RpcHandler {
   std::priority_queue<double, std::vector<double>, std::greater<double>>
       admit_free_ GUARDED_BY(admission_mu_);
   std::multiset<double> admit_outstanding_ GUARDED_BY(admission_mu_);
-  // Placement-lease soft state (delegation).  One mirror per metadata
-  // shard this node currently holds a lease for; all of it is disposable —
-  // expiry (or Reset) simply sends clients back to the master.  Separate
-  // low-rank mutex: delegated resolves never touch group state, and the
-  // heartbeat path installs leases without holding groups_mu_.
+  // Placement knowledge.  The lease soft state (delegation): one mirror
+  // per metadata shard this node currently holds a lease for; all of it is
+  // disposable — expiry (or Reset) simply sends clients back to the
+  // master.  And the known epochs, which survive Reset: they only ever
+  // grow.  Separate low-rank mutex: delegated resolves and epoch checks
+  // never touch group state (stagers read the epochs before taking
+  // groups_mu_), and the heartbeat path installs leases without holding
+  // groups_mu_.
   struct ShardLease {
     uint64_t epoch = 0;
     double expiry_s = 0;
@@ -241,9 +259,17 @@ class IndexNode : public net::RpcHandler {
     std::unordered_map<FileId, GroupId> file_group;     // mirror
   };
   mutable Mutex lease_mu_{LockRank::kIndexNodeLease, "IndexNode::lease_mu_"};
+  // A lease mirror older than an epoch this node was told about for its
+  // shard answers nothing: the client falls back to the master.
+  bool MirrorStaleLocked(uint32_t shard, const ShardLease& lease) const
+      REQUIRES(lease_mu_);
   uint32_t lease_num_shards_ GUARDED_BY(lease_mu_) = 1;
   std::vector<std::string> lease_index_names_ GUARDED_BY(lease_mu_);
   std::map<uint32_t, ShardLease> leases_ GUARDED_BY(lease_mu_);
+  // Per-shard maximum of the epochs pushed or acked by the master, and
+  // their sum (the placement version searches are stamped with).
+  std::vector<uint64_t> known_epochs_ GUARDED_BY(lease_mu_);
+  uint64_t known_version_ GUARDED_BY(lease_mu_) = 0;
   // Last cluster time this node observed (heartbeat responses, in.tick);
   // delegated resolves judge lease expiry against it.
   double lease_now_s_ GUARDED_BY(lease_mu_) = 0;
@@ -259,6 +285,7 @@ class IndexNode : public net::RpcHandler {
   obs::Gauge* admit_depth_peak_;  // high-water mark of the waiting line
   obs::Counter* resolve_delegated_;  // resolves answered from a lease mirror
   obs::Counter* resolve_stale_;      // resolves refused with kStaleLocation
+  obs::Counter* stale_requests_;     // searches/sections with an old stamp
 };
 
 }  // namespace propeller::core

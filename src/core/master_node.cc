@@ -21,6 +21,7 @@ MasterNode::MasterNode(NodeId id, net::Transport* transport, MasterConfig config
       lease_renewed_(&metrics_.GetCounter("master.lease.renewed")),
       lease_expired_(&metrics_.GetCounter("master.lease.expired")),
       lease_stale_(&metrics_.GetCounter("master.lease.stale")),
+      epoch_pushes_(&metrics_.GetCounter("mn.epoch_pushes")),
       handle_latency_(&metrics_.GetHistogram("mn.handle.latency_s")),
       shard_queue_wait_(&metrics_.GetHistogram("mn.shard.queue_wait_s")) {
   if (config_.num_shards < 1) config_.num_shards = 1;
@@ -130,6 +131,90 @@ double MasterNode::ChargeShardQueue(Shard& shard, uint32_t shard_index,
   return wait;
 }
 
+void MasterNode::BumpEpoch(Shard& shard) {
+  ++shard.metadata_epoch;
+  ++shard.mirror_epoch;
+  epoch_bumps_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+std::vector<uint64_t> MasterNode::ShardEpochVector() const {
+  std::vector<uint64_t> epochs;
+  epochs.reserve(shards_.size());
+  for (const auto& sp : shards_) {
+    MutexLock lock(sp->mu_);
+    epochs.push_back(sp->metadata_epoch);
+  }
+  return epochs;
+}
+
+void MasterNode::PushEpochs(sim::Cost& cost) {
+  if (epoch_bumps_.load(std::memory_order_acquire) ==
+      pushed_bumps_.load(std::memory_order_acquire)) {
+    return;
+  }
+  MutexLock lock(mu_);
+  // Read the bump count before the epochs: a bump landing in between is
+  // in the vector and is pushed again next time, never lost.
+  const uint64_t bumps = epoch_bumps_.load(std::memory_order_acquire);
+  if (bumps == pushed_bumps_.load(std::memory_order_acquire)) return;
+  ShardEpochs push;
+  push.shard_epochs = ShardEpochVector();
+  std::vector<NodeId> nodes;
+  {
+    MutexLock live(liveness_mu_);
+    nodes = index_nodes_;
+  }
+  epoch_pushes_->Add(1);
+  obs::SpanGuard span("mn.push_epochs", bumps, id_);
+  // The nodes take the push in parallel: every call forks from this
+  // instant and the master answers when the slowest one returns.
+  const obs::TraceCursor base = obs::CurrentTrace();
+  const std::string payload = Encode(push);
+  std::vector<sim::Cost> branches;
+  branches.reserve(nodes.size());
+  for (NodeId node : nodes) {
+    if (transport_->IsDown(node)) continue;  // catches up on its heartbeat
+    obs::ScopedTraceCursor branch(base);
+    branches.push_back(transport_->Call(id_, node, "in.epochs", payload).cost);
+  }
+  const sim::Cost slowest = sim::Cost::ParallelMax(branches);
+  if (obs::CurrentTrace().active()) {
+    obs::CurrentTrace().now_s = base.now_s + slowest.seconds();
+  }
+  span.Tag("nodes", static_cast<uint64_t>(branches.size()));
+  cost += slowest;
+  pushed_bumps_.store(bumps, std::memory_order_release);
+}
+
+void MasterNode::RaiseEpochsAboveNodes() {
+  std::vector<NodeId> nodes;
+  {
+    MutexLock live(liveness_mu_);
+    nodes = index_nodes_;
+  }
+  const std::string read = Encode(ShardEpochs{});
+  std::vector<uint64_t> seen(shards_.size(), 0);
+  for (NodeId node : nodes) {
+    if (transport_->IsDown(node)) continue;
+    auto call = transport_->Call(id_, node, "in.epochs", read);
+    if (!call.status.ok()) continue;
+    auto known = Decode<ShardEpochs>(call.payload);
+    if (!known.ok() || known->shard_epochs.size() != seen.size()) continue;
+    for (size_t s = 0; s < seen.size(); ++s) {
+      seen[s] = std::max(seen[s], known->shard_epochs[s]);
+    }
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    MutexLock lock(shard.mu_);
+    shard.metadata_epoch = std::max(shard.metadata_epoch, seen[s] + 1);
+  }
+  // Push even when no epoch rose: the nodes must learn the restored ones.
+  epoch_bumps_.fetch_add(1, std::memory_order_acq_rel);
+  sim::Cost cost;
+  PushEpochs(cost);
+}
+
 template <typename ResponseT>
 void MasterNode::StampShardSections(ResponseT& resp) {
   if (!config_.placement_leases) return;
@@ -155,6 +240,7 @@ net::RpcHandler::Response MasterNode::Handle(const std::string& method,
     if (method == "mn.tick") return HandleTick(payload);
     return Response{Status::NotFound("unknown method " + method), {}, {}};
   }();
+  PushEpochs(resp.cost);
   handle_latency_->Observe(resp.cost.seconds());
   return resp;
 }
@@ -200,8 +286,7 @@ Result<NodeId> MasterNode::EnsureGroupPlaced(
   NodeId primary = placed.front();
   shard.group_replicas[group] = std::move(placed);
   mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-  ++shard.metadata_epoch;  // new group visible to searches
-  ++shard.mirror_epoch;
+  BumpEpoch(shard);  // new group visible to searches
   return primary;
 }
 
@@ -266,8 +351,7 @@ sim::Cost MasterNode::ApplyAcgResult(Shard& shard,
     for (NodeId n : from_replicas) BumpNodeLoad(shard, n, -1);
     shard.group_replicas.erase(merge.from);
     mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-    ++shard.metadata_epoch;  // group dissolved; cached placements are stale
-    ++shard.mirror_epoch;
+    BumpEpoch(shard);  // group dissolved; cached placements are stale
   }
   return cost;
 }
@@ -435,8 +519,7 @@ net::RpcHandler::Response MasterNode::HandleCreateIndex(
   for (auto& sp : shards_) {
     Shard& shard = *sp;
     MutexLock lock(shard.mu_);
-    ++shard.metadata_epoch;
-    ++shard.mirror_epoch;
+    BumpEpoch(shard);
     for (const auto& [group, replicas] : shard.group_replicas) {
       placed.emplace_back(group, replicas);
     }
@@ -511,6 +594,7 @@ sim::Cost MasterNode::RunSplitMaintenance() {
     MutexLock lock(shard.mu_);
     cost += RunSplitMaintenanceShard(shard, catalog);
   }
+  PushEpochs(cost);
   return cost;
 }
 
@@ -548,8 +632,7 @@ sim::Cost MasterNode::RunSplitMaintenanceShard(
         transport_->Call(id_, *dst, "in.install_group", Encode(in_req));
     cost += in_call.cost;
     mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-    ++shard.metadata_epoch;  // files moved to the split-off group
-    ++shard.mirror_epoch;
+    BumpEpoch(shard);  // files moved to the split-off group
   }
   return cost;
 }
@@ -654,13 +737,13 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
       BumpNodeLoad(shard, busiest, -1);
       BumpNodeLoad(shard, idlest, 1);
       mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-      ++shard.metadata_epoch;  // group changed nodes: cached routing stale
-      ++shard.mirror_epoch;
+      BumpEpoch(shard);  // group changed nodes: cached routing stale
       ++moved;
     }
   }
   sim::Cost flush_cost;
   MaybeFlushMetadata(flush_cost);
+  PushEpochs(flush_cost);
   if (cost != nullptr) *cost += flush_cost;
   return moved;
 }
@@ -753,6 +836,7 @@ net::RpcHandler::Response MasterNode::HandleHeartbeat(const std::string& payload
   // shard s is delegated round-robin to index_nodes_[s mod n_nodes].
   HeartbeatResponse hresp;
   hresp.num_shards = n;
+  hresp.shard_epochs = ShardEpochVector();
   if (!config_.placement_leases) {
     return Response{Status::Ok(), Encode(hresp), cost};
   }
@@ -913,8 +997,7 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
         BumpNodeLoad(shard, target, 1);
         BumpNodeLoad(shard, node, -1);
         mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-        ++shard.metadata_epoch;  // group re-homed onto a survivor
-        ++shard.mirror_epoch;
+        BumpEpoch(shard);  // group re-homed onto a survivor
         ++event.groups_moved;
         continue;
       }
@@ -996,8 +1079,7 @@ void MasterNode::RecoverDeadNode(NodeId node, double now_s, sim::Cost& cost) {
       }
       BumpNodeLoad(shard, node, -1);
       mutations_since_flush_.fetch_add(1, std::memory_order_relaxed);
-      ++shard.metadata_epoch;  // replica set changed; cached routing stale
-      ++shard.mirror_epoch;
+      BumpEpoch(shard);  // replica set changed; cached routing stale
       ++event.groups_moved;
     }
   }
@@ -1171,9 +1253,10 @@ Status MasterNode::RestoreMetadata(const std::string& image) {
     PROPELLER_RETURN_IF_ERROR(acg::Acg::Deserialize(ar, a));
     subgraphs.emplace_back(g, std::move(a));
   }
-  // Per-shard epochs.  Restore one *past* the flushed value: the image may
-  // predate un-flushed mutations, so a failed-over master must not re-issue
-  // an epoch clients may already hold for newer state.
+  // Per-shard epochs.  Restore one *past* the flushed value, and
+  // RaiseEpochsAboveNodes below lifts each past anything a node was told:
+  // the image may predate un-flushed mutations, so a failed-over master
+  // must not re-issue an epoch clients may already hold for newer state.
   const uint32_t n = static_cast<uint32_t>(shards_.size());
   uint32_t cnt = 0;
   PROPELLER_RETURN_IF_ERROR(r.GetU32(cnt));
@@ -1256,6 +1339,7 @@ Status MasterNode::RestoreMetadata(const std::string& image) {
       if (dead.count(nd) == 0u) shard.load_index.insert({load, nd});
     }
   }
+  RaiseEpochsAboveNodes();
   return Status::Ok();
 }
 

@@ -136,7 +136,9 @@ class MasterNode : public net::RpcHandler {
   NodeId LeaseHolderOfShard(uint32_t shard) const;
 
   // Serialized metadata image (what the periodic flush writes); paired
-  // with RestoreMetadata for master-recovery tests.
+  // with RestoreMetadata, which a standby runs on failover.  A restore
+  // resumes every shard epoch above both the image's and the highest any
+  // reachable Index Node reports, and pushes the result to them.
   std::string SnapshotMetadata() const;
   Status RestoreMetadata(const std::string& image);
   uint64_t FlushCount() const {
@@ -290,6 +292,22 @@ class MasterNode : public net::RpcHandler {
   // arrival-stamped resolve; returns the queueing wait in seconds.
   double ChargeShardQueue(Shard& shard, uint32_t shard_index, double arrival_s,
                           double service_s) REQUIRES(shard.mu_);
+  // Bumps a shard's epoch (and its mirror version) after a placement
+  // mutation; the next PushEpochs carries it to the Index Nodes.
+  void BumpEpoch(Shard& shard) REQUIRES(shard.mu_);
+  // The shards' current epochs, read one shard mutex at a time.
+  std::vector<uint64_t> ShardEpochVector() const;
+  // Push before answering: when an epoch moved since the last push, sends
+  // the epoch vector to every reachable Index Node (in.epochs, in
+  // parallel; the slowest reply lands in `cost`).  Handle() runs it after
+  // every RPC and the direct mutators before returning, so no response
+  // carries an epoch a node has not been offered.
+  void PushEpochs(sim::Cost& cost) EXCLUDES(mu_);
+  // Failover: raises every shard epoch above the highest any reachable
+  // node reports (an empty in.epochs push reads it), then pushes the
+  // result, so a restored master never re-issues an epoch its predecessor
+  // handed out.
+  void RaiseEpochsAboveNodes();
   // Fills a resolve response's per-shard lease holders (leases on only).
   template <typename ResponseT>
   void StampShardSections(ResponseT& resp);
@@ -323,6 +341,12 @@ class MasterNode : public net::RpcHandler {
   sim::IoContext shared_storage_;
   sim::PageStore metadata_store_ GUARDED_BY(mu_);
   uint64_t flush_count_ GUARDED_BY(mu_) = 0;
+  // Epoch bumps so far, and how many of them the last push covered.  The
+  // atomic pair keeps PushEpochs lock-free when nothing moved; pushes
+  // themselves serialize on mu_ (an operation that sees its bump already
+  // counted by a concurrent push waits there until that push is out).
+  std::atomic<uint64_t> epoch_bumps_{0};
+  std::atomic<uint64_t> pushed_bumps_{0};
   // Mutation counter driving the periodic flush; atomic so shard-locked
   // paths can bump it without touching mu_.
   std::atomic<uint64_t> mutations_since_flush_{0};
@@ -348,6 +372,7 @@ class MasterNode : public net::RpcHandler {
   obs::Counter* lease_renewed_;
   obs::Counter* lease_expired_;
   obs::Counter* lease_stale_;
+  obs::Counter* epoch_pushes_;
   obs::Histogram* handle_latency_;
   obs::Histogram* shard_queue_wait_;
   // Per-shard contention counters ("mn.shard.<i>.contended"): stamped

@@ -239,6 +239,7 @@ Status HeartbeatRequest::Deserialize(BinaryReader& r, HeartbeatRequest& out) {
 
 void HeartbeatResponse::Serialize(BinaryWriter& w) const {
   w.PutU32(num_shards);
+  PutU64s(w, shard_epochs);
   w.PutU32(static_cast<uint32_t>(index_names.size()));
   for (const std::string& name : index_names) w.PutString(name);
   w.PutU32(static_cast<uint32_t>(leases.size()));
@@ -265,6 +266,7 @@ void HeartbeatResponse::Serialize(BinaryWriter& w) const {
 Status HeartbeatResponse::Deserialize(BinaryReader& r, HeartbeatResponse& out) {
   PROPELLER_RETURN_IF_ERROR(r.GetU32(out.num_shards));
   PROPELLER_RETURN_IF_ERROR(CheckShard(0, out.num_shards));
+  PROPELLER_RETURN_IF_ERROR(GetU64s(r, out.shard_epochs));
   uint32_t nn = 0;
   PROPELLER_RETURN_IF_ERROR(GetCount(r, kMinStringBytes, nn));
   out.index_names.clear();
@@ -310,7 +312,15 @@ Status HeartbeatResponse::Deserialize(BinaryReader& r, HeartbeatResponse& out) {
     }
     out.leases.push_back(std::move(g));
   }
+  if (!out.shard_epochs.empty() && out.shard_epochs.size() != out.num_shards) {
+    return Status::Corruption("epoch vector does not match the shard count");
+  }
   return Status::Ok();
+}
+
+void ShardEpochs::Serialize(BinaryWriter& w) const { PutU64s(w, shard_epochs); }
+Status ShardEpochs::Deserialize(BinaryReader& r, ShardEpochs& out) {
+  return GetU64s(r, out.shard_epochs);
 }
 
 void CreateGroupRequest::Serialize(BinaryWriter& w) const {

@@ -9,6 +9,7 @@
 //            in.tick            in.migrate_out     in.install_group
 //            in.recover_group   in.reset           in.catch_up
 //            in.drop_group      in.resolve_update  in.resolve_search
+//            in.epochs
 #pragma once
 
 #include <cstdint>
@@ -31,16 +32,21 @@ using index::IndexSpec;
 using index::Predicate;
 using net::NodeId;
 
-// ---- epoch convention (read-path caching) ----
+// ---- epoch convention (placement caching) ----
 // The master stamps its routing metadata with monotonically increasing
 // epochs, one per metadata shard (bumped whenever that shard's placement
 // or the catalog changes; each starts at 1).  Resolve responses always
-// carry the per-shard vector so clients can cache placements keyed by
-// epoch, and a client that caches or replicates stamps the epoch onto
-// in.search / in.stage_updates so an Index Node can reject requests for
-// groups it no longer owns with kStaleLocation.  A stamped epoch of 0
-// means "not in use".  Every message has a fixed layout: each field is
-// always written, and each repeated part is a counted vector.
+// carry the per-shard vector; clients cache placements keyed by it and
+// stamp every in.search / in.stage_updates with the epoch their routing
+// was resolved at.  Before answering any operation that bumped an epoch
+// the master pushes the new vector to every live Index Node (in.epochs;
+// a node that missed it catches up from its next heartbeat ack), and a
+// node answers kStaleLocation to a stamp *older* than the epoch it knows,
+// so no client acts on a placement older than one a node was told about.
+// A stamp equal to or newer than the node's is served as an unstamped
+// request.  A stamped epoch of 0 means "not in use".  Every message has a
+// fixed layout: each field is always written, and each repeated part is a
+// counted vector.
 
 // ---- replica convention (group replication) ----
 // With ClusterConfig::replication_factor > 1 every group lives on r
@@ -189,10 +195,25 @@ struct ShardLeaseGrant {
 };
 struct HeartbeatResponse {
   uint32_t num_shards = 1;  // the master's shard count (>= 1)
+  // The master's current per-shard epochs (num_shards entries; empty = no
+  // statement): a node that missed an in.epochs push catches up here.
+  std::vector<uint64_t> shard_epochs;
   std::vector<std::string> index_names;  // catalog names for delegated checks
   std::vector<ShardLeaseGrant> leases;
   void Serialize(BinaryWriter& w) const;
   static Status Deserialize(BinaryReader& r, HeartbeatResponse& out);
+};
+
+// ---- in.epochs ----
+// Master -> Index Node, before the master answers an operation that bumped
+// an epoch: the master's per-shard epochs.  The node keeps the per-shard
+// maximum of everything it was told and answers with that vector, so an
+// empty push reads it (a restored master starts above the highest epoch
+// any node reports).
+struct ShardEpochs {
+  std::vector<uint64_t> shard_epochs;
+  void Serialize(BinaryWriter& w) const;
+  static Status Deserialize(BinaryReader& r, ShardEpochs& out);
 };
 
 // ---- in.create_group ----
@@ -221,9 +242,10 @@ inline constexpr uint8_t kReplicaRoleSecondary = 2;
 
 struct StageSection {
   GroupId group = 0;
-  // Epoch the client's placement for `group` was resolved at; > 0 asks the
-  // node to answer kStaleLocation (instead of kNotFound) when the group
-  // has moved away, triggering the client's re-resolve + retry.
+  // Epoch of the group's metadata shard the client's placement was
+  // resolved at.  Older than the node's known epoch for that shard:
+  // kStaleLocation, and the client re-resolves at the master and retries.
+  // Otherwise (or 0) a missing group is kNotFound.
   uint64_t epoch = 0;
   uint8_t replica_role = kReplicaRoleNone;
   std::vector<FileUpdate> updates;
@@ -258,8 +280,10 @@ struct StageUpdatesResponse {
 struct SearchRequest {
   std::vector<GroupId> groups;
   Predicate predicate;
-  // Epoch the client's routing was resolved at; > 0 makes a group that is
-  // no longer on this node a kStaleLocation error instead of a silent skip.
+  // Placement version the client's routing was resolved at: the sum of
+  // its per-shard epochs (every bump raises it).  Older than the sum the
+  // node knows: kStaleLocation, whatever the groups.  Otherwise (or 0) a
+  // group that is not on this node is skipped.
   uint64_t epoch = 0;
   // Read-your-writes floors (replication): per-group minimum applied
   // commit sequences from the client's primary-acked writes.  A replica

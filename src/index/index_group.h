@@ -128,8 +128,8 @@ struct IndexGroupOptions {
   // hosting Index Node passes its own registry so per-node snapshots
   // aggregate all of that node's groups.
   obs::MetricsRegistry* metrics = nullptr;
-  // Per-group search-result memo (read_path_caching); off, the search
-  // path never touches the cache and costs are unchanged.
+  // Per-group search-result memo (IndexNodeConfig::result_cache); off,
+  // the search path never touches the cache and costs are unchanged.
   bool result_cache = false;
 
   // --- Write-read decoupling (see the file comment) ---
@@ -410,7 +410,7 @@ class IndexGroup {
   // readers confirm under (at least) shared mu_ before trusting it.
   std::atomic<bool> has_pending_{false};
 
-  // --- Per-group search-result cache (read_path_caching) ---
+  // --- Per-group search-result cache (IndexNodeConfig::result_cache) ---
   // Probes and fills run while holding at least shared mu_; invalidation
   // (CommitLocked) runs under exclusive mu_, so a fill can never race a
   // clear — cache_mu_ only serialises concurrent same-group readers.

@@ -354,11 +354,19 @@ TEST(ProtoFuzzTest, OversizedCountsAreRejectedBeforeAllocating) {
     BinaryWriter w;
     w.PutU32(1);
     w.PutU32(kHuge);
+    rejected(heartbeat, w, "shard epochs");
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(1);
+    w.PutU32(0);  // no epochs
+    w.PutU32(kHuge);
     rejected(heartbeat, w, "index names");
   }
   {
     BinaryWriter w;
     w.PutU32(1);
+    w.PutU32(0);  // no epochs
     w.PutU32(0);
     w.PutU32(kHuge);
     rejected(heartbeat, w, "leases");
@@ -366,6 +374,7 @@ TEST(ProtoFuzzTest, OversizedCountsAreRejectedBeforeAllocating) {
   // One grant with a mirror: shard 0, epoch, expiry, has_mirror = 1.
   auto mirror_grant = [](BinaryWriter& w) {
     w.PutU32(1);
+    w.PutU32(0);  // no epochs
     w.PutU32(0);
     w.PutU32(1);
     w.PutU32(0);

@@ -10,7 +10,10 @@
 // schedule, so assertions inside faulty phases are schedule-robust
 // (results must be a subset of the model, exact when not degraded); exact
 // equality is asserted in the fault-free phases, including the final
-// post-recovery sweep which must see every acknowledged record.
+// post-recovery sweep which must see every acknowledged record.  A second
+// client, the observer, searches only in those phases: its placement cache
+// goes stale across every group the writer creates and every recovery,
+// and each of its answers must still equal the model.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -85,6 +88,7 @@ class ChaosSoak {
     cfg.client.retry.max_attempts = 3;
     cluster_ = std::make_unique<PropellerCluster>(cfg);
     cluster_->tracer().Enable();  // soak with full tracing overhead on
+    observer_ = &cluster_->AddClient();
     EXPECT_TRUE(cluster_->client().CreateIndex(SizeIndex()).ok());
     cluster_->AdvanceTime(1.0);  // establish heartbeat history
   }
@@ -147,6 +151,11 @@ class ChaosSoak {
     if (expect_exact) {
       EXPECT_FALSE(r->partial) << "degraded answer in a fault-free phase";
       EXPECT_EQ(got, expected);
+      auto o = observer_->Search(p, "by_size");
+      ASSERT_TRUE(o.ok()) << o.status().ToString();
+      EXPECT_FALSE(o->partial) << "observer degraded in a fault-free phase";
+      EXPECT_EQ(std::set<FileId>(o->files.begin(), o->files.end()), expected)
+          << "the observer's cached routing missed a placement change";
     } else {
       for (FileId f : got) {
         EXPECT_TRUE(expected.count(f) != 0u)
@@ -162,12 +171,14 @@ class ChaosSoak {
   }
 
   PropellerCluster& cluster() { return *cluster_; }
+  PropellerClient& observer() { return *observer_; }
   Rng& rng() { return rng_; }
   size_t model_size() const { return model_.size(); }
 
  private:
   Rng rng_;
   std::unique_ptr<PropellerCluster> cluster_;
+  PropellerClient* observer_ = nullptr;  // searches fault-free phases only
   std::map<FileId, int64_t> model_;
   FileId next_file_ = 1;
 };
@@ -251,6 +262,10 @@ void RunSoak(uint64_t seed, int replication_factor = 1) {
   soak.RunUpdates(/*batches=*/3, /*batch_size=*/40);
   soak.CheckSearch(/*expect_exact=*/true);
   EXPECT_GT(soak.model_size(), 0u);
+  // The observer's cache really did go stale and get repaired.
+  EXPECT_GT(soak.observer().MetricsSnapshot().counters.at(
+                "client.placement_cache.stale_retries"),
+            0u);
 
   // Observability held up through the whole soak: every recorded span tree
   // is parent-complete and cluster-wide counters only ever grew — even

@@ -91,11 +91,15 @@ TEST_F(IndexNodeTest, StageToUnknownGroupFails) {
 TEST_F(IndexNodeTest, UnknownSectionDoesNotBlockTheOthers) {
   CreateGroup(1);
   CreateGroup(3);
+  // The master told this node of epoch 8.
+  ShardEpochs push;
+  push.shard_epochs = {8};
+  ASSERT_TRUE(node_.Handle("in.epochs", Encode(push)).status.ok());
   std::vector<StageSection> sections(3);
   sections[0].group = 1;
   sections[0].updates = {Upsert(1, 100)};
   sections[1].group = 2;  // not on this node
-  sections[1].epoch = 7;  // stamped: a cached route went stale
+  sections[1].epoch = 7;  // stamped older than 8: a cached route went stale
   sections[1].updates = {Upsert(2, 100)};
   sections[2].group = 3;
   sections[2].updates = {Upsert(3, 100), Upsert(4, 1)};

@@ -295,29 +295,87 @@ TEST(MasterLeaseTest, SteadyStateResolvesBypassTheMaster) {
   ASSERT_TRUE(cluster.client().CreateIndex(SizeIndex()).ok());
   std::vector<FileUpdate> warm;
   for (FileId f = 1; f <= 40; ++f) warm.push_back(Upsert(f, 100));
-  // Warm-up: place the files, let the heartbeat grant leases and push
-  // mirrors, then one more master round-trip teaches the client the (now
-  // nonzero) lease-holder table.
-  ASSERT_TRUE(cluster.client().BatchUpdate(warm, cluster.now()).ok());
-  cluster.AdvanceTime(1.0);
-  ASSERT_TRUE(cluster.client().BatchUpdate(warm, cluster.now()).ok());
-
-  const uint64_t master_resolves =
-      Counter(cluster, "mn.calls.mn.resolve_update") +
-      Counter(cluster, "mn.calls.mn.resolve_search");
   Predicate p;
   p.And("size", CmpOp::kGe, AttrValue(int64_t{100}));
+  // Warm-up: place the files, let the heartbeat grant leases and push
+  // mirrors, then one search misses the placement cache and resolves at
+  // the master, whose answer teaches the client the lease-holder table.
+  ASSERT_TRUE(cluster.client().BatchUpdate(warm, cluster.now()).ok());
+  cluster.AdvanceTime(1.0);
+  ASSERT_TRUE(cluster.client().Search(p, "by_size").ok());
+
+  auto master_resolves = [&] {
+    return Counter(cluster, "mn.calls.mn.resolve_update") +
+           Counter(cluster, "mn.calls.mn.resolve_search");
+  };
+  const uint64_t master_before = master_resolves();
+  const uint64_t delegated_before =
+      Counter(cluster, "client.resolve.delegated");
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(cluster.client().BatchUpdate(warm, cluster.now()).ok());
     auto r = cluster.client().Search(p, "by_size");
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->files.size(), 40u);
   }
-  // Steady state: every resolve was answered by a delegate.
-  EXPECT_EQ(Counter(cluster, "mn.calls.mn.resolve_update") +
-                Counter(cluster, "mn.calls.mn.resolve_search"),
-            master_resolves);
-  EXPECT_GE(Counter(cluster, "client.resolve.delegated"), 20u);
+  // Steady state: the placement cache answers every op, so nothing
+  // resolves at all — neither at the master nor at a delegate.
+  EXPECT_EQ(master_resolves(), master_before);
+  EXPECT_EQ(Counter(cluster, "client.resolve.delegated"), delegated_before);
+
+  // A cache miss (another index name) resolves at the lease holders, and
+  // still not at the master.
+  auto all = cluster.client().Search(p);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->files.size(), 40u);
+  EXPECT_EQ(master_resolves(), master_before);
+  EXPECT_EQ(Counter(cluster, "client.resolve.delegated"), delegated_before + 1);
+}
+
+// A merge dissolves a group the lease holder's mirror still names until its
+// next heartbeat.  A batch naming a file of the dissolved group must land in
+// the surviving group, whether its placement comes from the client's cache
+// (stale stamp: refused, repaired at the master) or from the delegate (its
+// mirror predates the pushed epoch: it refuses, the master answers).
+TEST(MasterLeaseTest, BatchAfterMergeNamingADissolvedGroupSucceeds) {
+  ClusterConfig cfg = LeaseConfig(1);
+  cfg.master.acg_policy.cluster_target = 6;
+  PropellerCluster cluster(cfg);
+  PropellerClient& writer = cluster.client();
+  ASSERT_TRUE(writer.CreateIndex(SizeIndex()).ok());
+  std::vector<FileUpdate> warm;
+  for (FileId f = 1; f <= 12; ++f) warm.push_back(Upsert(f, 100));
+  ASSERT_TRUE(writer.BatchUpdate(warm, cluster.now()).ok());  // groups 1, 2
+  cluster.AdvanceTime(1.0);  // lease and mirror for the only shard
+  PropellerClient& other = cluster.AddClient();
+  Predicate p;
+  p.And("size", CmpOp::kGe, AttrValue(int64_t{100}));
+  ASSERT_TRUE(other.Search(p, "by_size").ok());  // learns the lease holder
+  const GroupId dissolved = *cluster.master().acg_manager().GroupOf(7);
+
+  // The merge: equal sizes, so file 7's group dissolves into file 1's.
+  acg::Acg delta;
+  delta.AddEdge(1, 7, 1);
+  FlushAcgRequest freq;
+  freq.delta = std::move(delta);
+  ASSERT_TRUE(cluster.transport()
+                  .Call(writer.id(), PropellerCluster::kMasterId,
+                        "mn.flush_acg", Encode(freq))
+                  .status.ok());
+  ASSERT_FALSE(cluster.master().NodeOfGroup(dissolved).has_value());
+
+  auto up = other.BatchUpdate({Upsert(7, 200)}, cluster.now());
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  auto again = writer.BatchUpdate({Upsert(8, 300)}, cluster.now());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  p.And("size", CmpOp::kGt, AttrValue(int64_t{100}));
+  auto r = other.Search(p, "by_size");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->files, (std::vector<FileId>{7, 8}));
+  Predicate old;
+  old.And("size", CmpOp::kEq, AttrValue(int64_t{100}));
+  auto rest = writer.Search(old, "by_size");
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(rest->files.size(), 10u) << "files 7 and 8 left an old copy";
 }
 
 // --- off-mode bit-identity ------------------------------------------------

@@ -1,17 +1,17 @@
-// Read-path scalability layers (read_path_caching): client placement
-// caching with epoch invalidation, shared-lock group reads, and the
-// per-group search-result cache.
+// Read-path scalability layers: client placement caching with epoch
+// invalidation (always on), shared-lock group reads, and the per-group
+// search-result memo (IndexNodeConfig::result_cache).
 //
 // Pinned-down properties:
-//   1. Wire compatibility — the trailing-optional epoch encoding leaves
-//      epoch-0 messages byte-identical to the pre-epoch format.
-//   2. Resolve amortization — repeat searches with caching on never touch
-//      the master, and the per-group result cache answers them.
+//   1. Wire format — every epoch-carrying message keeps a fixed layout.
+//   2. Resolve amortization — repeat searches never touch the master, and
+//      the per-group result memo answers them when enabled.
 //   3. Staleness repair — a cached route invalidated by failure recovery
 //      costs exactly one re-resolve + retry, then succeeds with full
-//      results (composes with the recovery journal).
-//   4. Equivalence — caching on/off agree on results; serial and parallel
-//      execution stay bit-identical with caching on.
+//      results (composes with the recovery journal).  Cross-client
+//      freshness lives in placement_freshness_test.
+//   4. Equivalence — serial and parallel execution stay bit-identical
+//      with the caches warm.
 //   5. Concurrency — many real threads searching one group under the
 //      shared lock (and probing the result cache) race nothing.  Run under
 //      ThreadSanitizer (-DPROPELLER_SANITIZE=thread, see README.md).
@@ -34,10 +34,10 @@ namespace {
 constexpr uint64_t kBaseFiles = 3000;
 constexpr char kQuery[] = "size>16m";
 
-ClusterConfig MakeConfig(bool caching, bool parallel = false) {
+ClusterConfig MakeConfig(bool parallel = false) {
   ClusterConfig cfg;
   cfg.index_nodes = 2;
-  cfg.read_path_caching = caching;
+  cfg.index_node.result_cache = true;
   cfg.parallel_execution = parallel;
   cfg.client.fanout_threads = 4;
   cfg.index_node.search_threads = 4;
@@ -141,7 +141,7 @@ TEST(ReadPathProtoTest, AllEpochCarryingMessagesRoundTrip) {
 // --- 2. resolve amortization ----------------------------------------------
 
 TEST(ReadPathCachingTest, RepeatSearchesSkipResolveAndHitResultCache) {
-  auto cluster = MakeLoadedCluster(MakeConfig(/*caching=*/true));
+  auto cluster = MakeLoadedCluster(MakeConfig());
   auto parsed = ParseQuery(kQuery, 1'000'000);
   ASSERT_TRUE(parsed.ok());
 
@@ -170,7 +170,7 @@ TEST(ReadPathCachingTest, RepeatSearchesSkipResolveAndHitResultCache) {
 }
 
 TEST(ReadPathCachingTest, BatchUpdatePlacementsAreCachedToo) {
-  auto cluster = MakeLoadedCluster(MakeConfig(/*caching=*/true));
+  auto cluster = MakeLoadedCluster(MakeConfig());
   const uint64_t resolved_after_load =
       MasterCounter(*cluster, "mn.calls.mn.resolve_update");
   ASSERT_GT(resolved_after_load, 0u);
@@ -190,7 +190,7 @@ TEST(ReadPathCachingTest, BatchUpdatePlacementsAreCachedToo) {
 }
 
 TEST(ReadPathCachingTest, CachedSearchSeesGroupsThisClientJustCreated) {
-  auto cluster = MakeLoadedCluster(MakeConfig(/*caching=*/true));
+  auto cluster = MakeLoadedCluster(MakeConfig());
   auto& client = cluster->client();
   Predicate all;
   all.And("size", index::CmpOp::kGe, index::AttrValue(int64_t{0}));
@@ -216,7 +216,7 @@ TEST(ReadPathCachingTest, CachedSearchSeesGroupsThisClientJustCreated) {
 // --- 3. staleness repair (composes with failure recovery) ------------------
 
 TEST(ReadPathCachingTest, StaleRouteAfterRecoveryRepairsWithOneResolve) {
-  ClusterConfig cfg = MakeConfig(/*caching=*/true);
+  ClusterConfig cfg = MakeConfig();
   cfg.recovery_journal = true;
   auto cluster = MakeLoadedCluster(cfg);
   auto parsed = ParseQuery(kQuery, 1'000'000);
@@ -255,7 +255,7 @@ TEST(ReadPathCachingTest, StaleRouteAfterRecoveryRepairsWithOneResolve) {
 }
 
 TEST(ReadPathCachingTest, IndexNodeRejectsStaleEpochRequests) {
-  auto cluster = MakeLoadedCluster(MakeConfig(/*caching=*/true));
+  auto cluster = MakeLoadedCluster(MakeConfig());
   const NodeId node = PropellerCluster::kFirstIndexNodeId;
 
   SearchRequest sreq;
@@ -290,7 +290,7 @@ TEST(ReadPathCachingTest, IndexNodeRejectsStaleEpochRequests) {
 }
 
 TEST(ReadPathCachingTest, MetadataEpochSurvivesSnapshotRestore) {
-  ClusterConfig cfg = MakeConfig(/*caching=*/true);
+  ClusterConfig cfg = MakeConfig();
   auto cluster = MakeLoadedCluster(cfg);
   const uint64_t epoch = cluster->master().MetadataEpoch();
   ASSERT_GT(epoch, 1u) << "placements must have bumped the epoch";
@@ -304,27 +304,9 @@ TEST(ReadPathCachingTest, MetadataEpochSurvivesSnapshotRestore) {
 
 // --- 4. equivalence --------------------------------------------------------
 
-TEST(ReadPathCachingTest, CachingOnAndOffAgreeOnResults) {
-  auto off = MakeLoadedCluster(MakeConfig(/*caching=*/false));
-  auto on = MakeLoadedCluster(MakeConfig(/*caching=*/true));
-  auto parsed = ParseQuery(kQuery, 1'000'000);
-  ASSERT_TRUE(parsed.ok());
-  for (int round = 0; round < 3; ++round) {
-    auto a = off->client().Search(parsed->predicate);
-    auto b = on->client().Search(parsed->predicate);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->files, b->files);
-    EXPECT_EQ(a->nodes_queried, b->nodes_queried);
-  }
-  // Caching off: the placement cache is never consulted, never filled.
-  EXPECT_EQ(ClientCounter(off->client(), "client.placement_cache.hits"), 0u);
-  EXPECT_EQ(ClientCounter(off->client(), "client.placement_cache.misses"), 0u);
-}
-
 TEST(ReadPathCachingTest, CachingOnStaysBitIdenticalAcrossExecutionModes) {
-  auto serial = MakeLoadedCluster(MakeConfig(true, /*parallel=*/false));
-  auto parallel = MakeLoadedCluster(MakeConfig(true, /*parallel=*/true));
+  auto serial = MakeLoadedCluster(MakeConfig(/*parallel=*/false));
+  auto parallel = MakeLoadedCluster(MakeConfig(/*parallel=*/true));
   auto parsed = ParseQuery(kQuery, 1'000'000);
   ASSERT_TRUE(parsed.ok());
   for (int round = 0; round < 3; ++round) {
