@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 
 #include "common/logging.h"
@@ -329,10 +330,31 @@ net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
     targets.push_back(group);
   }
 
-  // Run the per-group searches — on the node's worker pool when parallel
-  // search is enabled, serially otherwise.  Results land in per-group slots
-  // and are aggregated in request order, so the response bytes and the
-  // simulated makespan are identical in both modes.
+  // Dispatch the most recently searched groups first, never-searched ones
+  // last, ties in request order.  Each search leaves the groups it ran
+  // last in the page cache; starting the next one there reads them before
+  // any cold load can evict them, instead of evicting first exactly what
+  // a fixed order reads first.  Stamps are snapshotted so a concurrent
+  // request re-stamping these groups cannot disturb the sort.
+  std::vector<uint64_t> stamps(targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    stamps[i] = targets[i]->dispatch_stamp();
+  }
+  std::vector<size_t> order(targets.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return stamps[a] > stamps[b]; });
+  const uint64_t first_stamp =
+      dispatch_seq_.fetch_add(order.size(), std::memory_order_relaxed) + 1;
+  for (size_t k = 0; k < order.size(); ++k) {
+    targets[order[k]]->set_dispatch_stamp(first_stamp + k);
+  }
+
+  // Run the per-group searches in that order — on the node's worker pool
+  // when parallel search is enabled, serially otherwise.  Results land in
+  // per-group slots and are aggregated in request order, so the response
+  // bytes and the simulated makespan do not depend on the dispatch order
+  // or the mode.
   std::vector<index::IndexGroup::SearchResult> results(targets.size());
   // Per-group search spans fork from this instant (the node's own fan-out
   // point) — in serial mode too — so trace timestamps are identical
@@ -341,15 +363,16 @@ net::RpcHandler::Response IndexNode::SearchAdmitted(SearchRequest& req) {
   // Search commits staged updates and clears the group's oldest-pending
   // stamp internally, under the group mutex, so a stage racing this search
   // can never have its timeout stamp wiped while its update stays pending.
-  auto run_one = [&](size_t i) {
+  auto run_one = [&](size_t k) {
     obs::ScopedTraceCursor branch(fanout_base);
+    const size_t i = order[k];
     results[i] = targets[i]->Search(req.predicate);
   };
   if (search_pool_ != nullptr && targets.size() > 1) {
     auto futures = search_pool_->SubmitBatch(targets.size(), run_one);
     ThreadPool::WaitAll(futures);
   } else {
-    for (size_t i = 0; i < targets.size(); ++i) run_one(i);
+    for (size_t k = 0; k < targets.size(); ++k) run_one(k);
   }
 
   // Schedule the simulated costs onto `search_threads` workers

@@ -20,6 +20,7 @@
 // (enforced by the LockRank detector in common/mutex.h in debug builds).
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <queue>
@@ -233,6 +234,9 @@ class IndexNode : public net::RpcHandler {
   std::map<GroupId, uint64_t> applied_seq_ GUARDED_BY(replica_mu_);
   // Per-node search worker pool; null when parallel_search is off.
   std::unique_ptr<ThreadPool> search_pool_;
+  // Fan-out sequence: each search reserves one number per group it
+  // dispatches and stamps the group with it (IndexGroup::dispatch_stamp).
+  std::atomic<uint64_t> dispatch_seq_{0};
   // Admission queue state (virtual time).  `admit_free_` holds one entry
   // per worker: the virtual instant it frees up.  `admit_outstanding_`
   // holds the completion time of every admitted-but-not-yet-drained

@@ -686,7 +686,9 @@ size_t MasterNode::RunRebalance(sim::Cost* cost, uint64_t slack) {
         }
       }
       if (busiest == 0 || idlest == 0 || busiest == idlest) break;
-      if (hi <= lo + slack) break;  // balanced enough
+      // Balanced enough; and a spread of 1 is as good as a move can make
+      // it (the move would only swap which node is the busiest).
+      if (hi <= lo + std::max<uint64_t>(slack, 1)) break;
 
       // Move one (smallest) group from the busiest to the idlest node,
       // skipping groups whose replica set already includes the idlest node

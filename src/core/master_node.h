@@ -161,10 +161,11 @@ class MasterNode : public net::RpcHandler {
   sim::Cost RunSplitMaintenance();
 
   // Load balancing (Fig. 6: the master instructs Index Nodes to migrate
-  // groups).  Moves whole groups from the most- to the least-loaded
-  // nodes until no node holds more than ceil(avg) + slack groups (per
-  // shard under sharding).  Returns the number of groups moved; migration
-  // cost in *cost.
+  // groups).  Moves whole groups, one at a time, from the most- to the
+  // least-loaded node until the busiest holds at most max(slack, 1) more
+  // primaries than the idlest (per shard under sharding; a spread of 1
+  // cannot shrink).  Returns the number of groups moved; migration cost
+  // in *cost.
   size_t RunRebalance(sim::Cost* cost, uint64_t slack = 1);
 
   // --- failure detection & recovery introspection ---

@@ -205,6 +205,16 @@ class IndexGroup {
   // number of threads can search one group concurrently.
   SearchResult Search(const Predicate& pred);
 
+  // The owning Index Node's fan-out sequence number at this group's latest
+  // dispatch; 0 until the first (a new or migrated-in group).  The node
+  // runs a request's groups highest stamp first (DESIGN §5).
+  uint64_t dispatch_stamp() const {
+    return dispatch_stamp_.load(std::memory_order_relaxed);
+  }
+  void set_dispatch_stamp(uint64_t stamp) {
+    dispatch_stamp_.store(stamp, std::memory_order_relaxed);
+  }
+
   // Number of commits that actually applied updates (bumped whenever the
   // result cache is invalidated; test / introspection hook).  Segmented
   // mode also bumps it on every seal and merge publish.
@@ -409,6 +419,9 @@ class IndexGroup {
   // lock without first taking any lock.  Written under exclusive mu_;
   // readers confirm under (at least) shared mu_ before trusting it.
   std::atomic<bool> has_pending_{false};
+  // Scheduling hint only (see dispatch_stamp()); no index state depends on
+  // it, so it needs no lock.
+  std::atomic<uint64_t> dispatch_stamp_{0};
 
   // --- Per-group search-result cache (IndexNodeConfig::result_cache) ---
   // Probes and fills run while holding at least shared mu_; invalidation

@@ -9,6 +9,10 @@
 //      between the pre-update and post-update result sets, and the final
 //      state matches a serial reference run.  Run this one under
 //      ThreadSanitizer (-DPROPELLER_SANITIZE=thread, see README.md).
+//
+// The DispatchOrderTest cases pin the Index Node's fan-out order: most
+// recently searched groups first, so a node whose page cache cannot hold
+// its index rereads what the previous search left resident.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "core/cluster.h"
+#include "core/index_node.h"
 #include "core/query_parser.h"
 #include "workload/dataset.h"
 
@@ -266,6 +271,184 @@ TEST(ParallelSearchTest, ConcurrentClientsMatchSerialRun) {
   // Quiesced, the parallel cluster must agree with the serial reference.
   cluster->AdvanceTime(6.0);
   EXPECT_EQ(SearchSet(cluster->client()), expected_final);
+}
+
+// --- Dispatch order -------------------------------------------------------
+
+constexpr GroupId kOrderGroups = 8;
+constexpr FileId kRowsPerGroup = 1000;
+
+// A node holding kOrderGroups committed groups of kRowsPerGroup rows, each
+// with a serialized K-D tree over `size` (a search loads the whole image).
+std::unique_ptr<IndexNode> MakeOrderNode(uint64_t cache_pages, bool parallel) {
+  IndexNodeConfig cfg;
+  cfg.io.cache_pages = cache_pages;
+  cfg.parallel_search = parallel;
+  cfg.search_threads = 4;
+  auto node = std::make_unique<IndexNode>(10, cfg);
+  for (GroupId g = 1; g <= kOrderGroups; ++g) {
+    CreateGroupRequest create;
+    create.group = g;
+    create.specs = {{"kd_size", index::IndexType::kKdTree, {"size"}}};
+    EXPECT_TRUE(node->Handle("in.create_group", Encode(create)).status.ok());
+    StageUpdatesRequest stage;
+    stage.sections.emplace_back();
+    stage.sections[0].group = g;
+    for (FileId i = 0; i < kRowsPerGroup; ++i) {
+      index::FileUpdate u;
+      u.file = (g - 1) * kRowsPerGroup + i + 1;
+      u.attrs.Set("size", index::AttrValue(static_cast<int64_t>(u.file % 997)));
+      stage.sections[0].updates.push_back(std::move(u));
+    }
+    EXPECT_TRUE(node->Handle("in.stage_updates", Encode(stage)).status.ok());
+  }
+  TickRequest tick;
+  tick.now_s = 10;  // past the commit timeout: every group commits
+  EXPECT_TRUE(node->Handle("in.tick", Encode(tick)).status.ok());
+  return node;
+}
+
+struct FanOutResult {
+  std::vector<index::FileId> files;  // as the node answered, unsorted
+  double cost = 0;
+  uint64_t hits = 0;  // page-cache hits during this search
+};
+
+FanOutResult FanOut(IndexNode& node, std::vector<GroupId> groups) {
+  SearchRequest req;
+  req.groups = std::move(groups);
+  req.predicate.And("size", index::CmpOp::kGt,
+                    index::AttrValue(int64_t{900}));
+  const uint64_t hits_before = node.io().CacheStats().hits;
+  auto resp = node.Handle("in.search", Encode(req));
+  EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
+  auto decoded = Decode<SearchResponse>(resp.payload);
+  EXPECT_TRUE(decoded.ok());
+  return {decoded.ok() ? decoded->files : std::vector<index::FileId>{},
+          resp.cost.seconds(), node.io().CacheStats().hits - hits_before};
+}
+
+std::vector<GroupId> AllOrderGroups() {
+  std::vector<GroupId> groups;
+  for (GroupId g = 1; g <= kOrderGroups; ++g) groups.push_back(g);
+  return groups;
+}
+
+// Pages one group's K-D image occupies: on a node that caches everything,
+// a fan-out hits every image page exactly once.
+uint64_t GroupImagePages() {
+  auto node = MakeOrderNode(1 << 16, false);
+  (void)FanOut(*node, AllOrderGroups());
+  return FanOut(*node, AllOrderGroups()).hits / kOrderGroups;
+}
+
+TEST(DispatchOrderTest, RepeatFanOutRereadsWhatThePreviousSearchLeftCached) {
+  const uint64_t image = GroupImagePages();
+  ASSERT_GT(image, 1u);
+  // Room for four and a half images out of eight: every fan-out spills,
+  // and a search that finds four resident needs one round of cold loads
+  // on the four workers instead of two.
+  const uint64_t cache = 4 * image + image / 2;
+  auto node = MakeOrderNode(cache, false);
+  const FanOutResult first = FanOut(*node, AllOrderGroups());
+  const FanOutResult repeat = FanOut(*node, AllOrderGroups());
+  // The repeat starts with the groups the first search ran last, which are
+  // still resident; a fixed order would evict each before reaching it.
+  EXPECT_GE(repeat.hits, cache - image);
+  EXPECT_LT(repeat.cost, first.cost);
+  EXPECT_EQ(repeat.files, first.files);
+  // Order keeps alternating, and so do the savings.
+  const FanOutResult third = FanOut(*node, AllOrderGroups());
+  EXPECT_GE(third.hits, cache - image);
+  EXPECT_EQ(third.files, first.files);
+}
+
+TEST(DispatchOrderTest, PoolReturnsTheSerialFileListInTheSameOrder) {
+  const uint64_t cache = 3 * GroupImagePages();
+  auto serial = MakeOrderNode(cache, false);
+  auto pooled = MakeOrderNode(cache, true);
+  // Results come back in request order, whatever order the groups ran in.
+  const std::vector<GroupId> request = {5, 2, 8, 1, 7, 3, 6, 4};
+  const FanOutResult reference = FanOut(*serial, request);
+  ASSERT_FALSE(reference.files.empty());
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(FanOut(*serial, request).files, reference.files) << round;
+    EXPECT_EQ(FanOut(*pooled, request).files, reference.files) << round;
+  }
+}
+
+TEST(DispatchOrderTest, FullyCachedRepeatSearchesCostTheSame) {
+  auto serial = MakeOrderNode(1 << 16, false);
+  auto pooled = MakeOrderNode(1 << 16, true);
+  const FanOutResult warm = FanOut(*serial, AllOrderGroups());
+  (void)FanOut(*pooled, AllOrderGroups());
+  for (int round = 0; round < 3; ++round) {
+    const FanOutResult s = FanOut(*serial, AllOrderGroups());
+    const FanOutResult p = FanOut(*pooled, AllOrderGroups());
+    // Bit-identical, though each round runs the groups in reverse order.
+    EXPECT_EQ(s.cost, warm.cost) << round;
+    EXPECT_EQ(p.cost, warm.cost) << round;
+    EXPECT_EQ(s.files, warm.files) << round;
+    EXPECT_EQ(p.files, warm.files) << round;
+  }
+}
+
+TEST(DispatchOrderTest, NewAndMigratedInGroupsRunLast) {
+  auto node = MakeOrderNode(1 << 16, false);
+  (void)FanOut(*node, AllOrderGroups());
+  auto stamp = [&](GroupId g) {
+    return node->FindGroup(g)->dispatch_stamp();
+  };
+  for (GroupId g = 2; g <= kOrderGroups; ++g) {
+    EXPECT_GT(stamp(g), stamp(g - 1)) << "first search runs request order";
+  }
+
+  // A newly created group and one migrated in from another node.
+  CreateGroupRequest create;
+  create.group = 20;
+  create.specs = {{"kd_size", index::IndexType::kKdTree, {"size"}}};
+  ASSERT_TRUE(node->Handle("in.create_group", Encode(create)).status.ok());
+  InstallGroupRequest install;
+  install.group = 21;
+  install.specs = create.specs;
+  install.records.emplace_back();
+  install.records[0].file = 100'000;
+  install.records[0].attrs.Set("size", index::AttrValue(int64_t{950}));
+  ASSERT_TRUE(node->Handle("in.install_group", Encode(install)).status.ok());
+  EXPECT_EQ(stamp(20), 0u);
+  EXPECT_EQ(stamp(21), 0u);
+
+  // Unstamped groups come first in the request but run last, in request
+  // order; the others run most recently searched first.
+  std::vector<GroupId> request = {20, 21};
+  for (GroupId g : AllOrderGroups()) request.push_back(g);
+  const FanOutResult out = FanOut(*node, request);
+  ASSERT_FALSE(out.files.empty());
+  EXPECT_EQ(out.files.front(), 100'000u) << "results stay in request order";
+  for (GroupId g = 2; g <= kOrderGroups; ++g) {
+    EXPECT_LT(stamp(g), stamp(g - 1)) << "reverse of the previous order";
+  }
+  EXPECT_GT(stamp(20), stamp(1));
+  EXPECT_GT(stamp(21), stamp(20));
+}
+
+TEST(DispatchOrderTest, ConcurrentFanOutsOnThePoolAgree) {
+  // Concurrent requests re-stamp the same groups while others sort by
+  // them; run under ThreadSanitizer (the `search` label, tsan-search).
+  auto node = MakeOrderNode(3 * GroupImagePages(), true);
+  const std::vector<index::FileId> expected =
+      FanOut(*node, AllOrderGroups()).files;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 4; ++round) {
+        if (FanOut(*node, AllOrderGroups()).files != expected) ++mismatches;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

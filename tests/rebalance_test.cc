@@ -2,6 +2,8 @@
 // other IndexNodes under the instructions from MasterNode").
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/cluster.h"
 
 namespace propeller::core {
@@ -121,6 +123,42 @@ TEST(RebalanceTest, SkipsDownNodes) {
   auto r = cluster.client().Search(p, "by_size");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->files.size(), 120u);
+}
+
+size_t MinGroupsOnANode(PropellerCluster& cluster) {
+  size_t lo = ~size_t{0};
+  for (size_t i = 0; i < cluster.num_index_nodes(); ++i) {
+    lo = std::min(lo, cluster.index_node(i).NumGroups());
+  }
+  return lo;
+}
+
+TEST(RebalanceTest, ZeroSlackStopsWhenNoMoveCanShrinkTheSpread) {
+  // Five groups on four nodes cannot spread evenly: the best is a spread
+  // of one, and moving a group off the busiest node only makes the idlest
+  // the busiest.  Rebalancing must stop there, not ping-pong forever.
+  ClusterConfig cfg = Config();
+  cfg.master.acg_policy.cluster_target = 6;
+  PropellerCluster cluster(cfg);
+  ASSERT_TRUE(cluster.client()
+                  .CreateIndex({"by_size", index::IndexType::kBTree, {"size"}})
+                  .ok());
+  Populate(cluster, 1, 30);
+  sim::Cost cost;
+  (void)cluster.master().RunRebalance(&cost, /*slack=*/0);
+  EXPECT_LE(MaxGroupsOnANode(cluster), MinGroupsOnANode(cluster) + 1);
+
+  // From a lopsided start too: node 0 missed every placement.
+  PropellerCluster skewed(cfg);
+  ASSERT_TRUE(skewed.client()
+                  .CreateIndex({"by_size", index::IndexType::kBTree, {"size"}})
+                  .ok());
+  NodeId down = skewed.index_node(0).id();
+  skewed.transport().SetNodeDown(down, true);
+  Populate(skewed, 1, 30);
+  skewed.transport().SetNodeDown(down, false);
+  EXPECT_GT(skewed.master().RunRebalance(&cost, /*slack=*/0), 0u);
+  EXPECT_LE(MaxGroupsOnANode(skewed), MinGroupsOnANode(skewed) + 1);
 }
 
 }  // namespace

@@ -131,8 +131,8 @@ tidy     clang-tidy over src/ (.clang-tidy, warnings-as-errors)
 tsa      Clang -Werror=thread-safety build
 asan     AddressSanitizer preset build + ctest
 ubsan    UndefinedBehaviorSanitizer preset build + ctest
-tsan     ThreadSanitizer build + fault/segments/replication/load/master
-         presets
+tsan     ThreadSanitizer build + fault/segments/replication/load/master/
+         search presets
 all      analyze tidy tsa asan ubsan tsan
 EOF
   exit 0
@@ -150,7 +150,7 @@ for stage in "${STAGES[@]}"; do
     tsa) stage_tsa ;;
     asan) stage_sanitizer asan ;;
     ubsan) stage_sanitizer ubsan ;;
-    tsan) stage_sanitizer tsan-fault tsan-fault tsan-segments tsan-replication tsan-load tsan-master ;;
+    tsan) stage_sanitizer tsan-fault tsan-fault tsan-segments tsan-replication tsan-load tsan-master tsan-search ;;
     *)
       note "unknown stage '$stage' (expected: tidy tsa asan ubsan tsan all)"
       exit 2
